@@ -15,10 +15,6 @@ class MalformedInput(ValueError):
     """Raised when a bit stream cannot be decoded."""
 
 
-def is_bits(s: str) -> bool:
-    return isinstance(s, str) and all(c in "01" for c in s)
-
-
 def encode_int(k: int) -> str:
     """Elias delta codeword for a positive integer k."""
     if k < 1:
@@ -71,6 +67,11 @@ def self_delimit(u: str) -> str:
     The length is coded as len(u)+1 so the empty word is representable.
     """
     return encode_int(len(u) + 1) + u
+
+
+def self_delimited_len(n: int) -> int:
+    """Length of self_delimit(u) for any word u of n bits."""
+    return encode_int_len(n + 1) + n
 
 
 def read_self_delimited(s: str, pos: int = 0) -> tuple[str, int]:

@@ -29,7 +29,7 @@ F = Fraction
 
 def _make_coder(args):
     if args.coder == "lz78":
-        return LZ78Coder(pointer=getattr(args, "pointer", "index"))
+        return LZ78Coder()
     if args.coder == "lzwin":
         window = getattr(args, "window", None)
         return LZWindowCoder(window if window and window > 0 else None)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=0, help="lzwin window; 0 = unbounded")
     p.add_argument("--block", type=int, default=4096)
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--pointer", choices=["index", "coordinate"], default="index")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=0)
     p.add_argument("--block", type=int, default=4096)
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--pointer", choices=["index", "coordinate"], default="index")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)

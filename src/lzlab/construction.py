@@ -253,11 +253,6 @@ class Construction:
         }
         return st
 
-    def delta_height(self, s: int) -> int:
-        h = self.stage(s).delta.uniform_height
-        assert h is not None
-        return h
-
     # -- measure oracle ----------------------------------------------------
 
     def _stage_for_query(self, m: int, eps: Fraction) -> int:
@@ -272,8 +267,8 @@ class Construction:
                 return s
             s += 1
 
-    def measure_query(self, x: str, eps: Fraction) -> Fraction:
-        """Rational approximation of P(x) within eps.
+    def query(self, x: str, eps: Fraction) -> Fraction:
+        """MeasureOracle interface: rational approximation of P(x) within eps.
 
         Runs to the first stage whose gadget covers enough mass and is tall
         enough, then counts starts at least len(x) below the top; the error
@@ -301,9 +296,6 @@ class Construction:
                 break
             s += 1
         return name_measure(st.phi, x, restricted=True)
-
-    def query(self, x: str, eps: Fraction) -> Fraction:
-        return self.measure_query(x, eps)
 
     # -- sampling ----------------------------------------------------------
 

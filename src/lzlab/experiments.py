@@ -119,6 +119,20 @@ def _curve_csv(points) -> str:
     return buf.getvalue()
 
 
+def _finish(summary: dict, experiment: str, csvs: dict[str, str], outdir: str | None) -> dict:
+    """Set the summary's overall ``passed`` flag and, given an outdir, write
+    ``<experiment>_<name>.csv`` for every CSV text plus
+    ``<experiment>_summary.json``.  A '/' in a name (a source such as
+    ``bernoulli(1/2)``) becomes '_' in its file name."""
+    summary["passed"] = all(c["passed"] for c in summary["checks"])
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in sorted(csvs.items()):
+            write_atomic(os.path.join(outdir, f"{experiment}_{name.replace('/', '_')}.csv"), text)
+        write_json_atomic(os.path.join(outdir, f"{experiment}_summary.json"), summary)
+    return summary
+
+
 def _coder_suite(cfg):
     return [
         LZ78Coder(),
@@ -233,13 +247,7 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
             "values": {"sparse": sparse_count, "incompressible": inc_count},
         }
     )
-    summary["passed"] = all(c["passed"] for c in summary["checks"])
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        for name, points in sorted(curves.items()):
-            write_atomic(os.path.join(outdir, f"oscillation_{name}.csv"), _curve_csv(points))
-        write_json_atomic(os.path.join(outdir, "oscillation_summary.json"), summary)
-    return summary
+    return _finish(summary, "oscillation", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def run_robustness(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -308,13 +316,7 @@ def run_robustness(config: dict | None = None, outdir: str | None = None) -> dic
             "values": {"ratio": float(blocks[largest]), "H": H},
         }
     )
-    summary["passed"] = all(c["passed"] for c in summary["checks"])
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        for name, points in sorted(curves.items()):
-            write_atomic(os.path.join(outdir, f"robustness_{name}.csv"), _curve_csv(points))
-        write_json_atomic(os.path.join(outdir, "robustness_summary.json"), summary)
-    return summary
+    return _finish(summary, "robustness", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def _second_order_source() -> MarkovSource:
@@ -374,13 +376,7 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
                 "values": {},
             }
         )
-    summary["passed"] = all(c["passed"] for c in summary["checks"])
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        for name, points in sorted(curves.items()):
-            write_atomic(os.path.join(outdir, f"universality_{name}.csv"), _curve_csv(points))
-        write_json_atomic(os.path.join(outdir, "universality_summary.json"), summary)
-    return summary
+    return _finish(summary, "universality", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -440,19 +436,14 @@ def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dic
             },
         ],
     }
-    summary["passed"] = all(c["passed"] for c in summary["checks"])
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["sequence", "n", "dhat", "sigma_plus_c0"])
-        for p in alpha_points:
-            writer.writerow(["alpha", p["n"], f"{p['dhat']:.4f}", p["sigma"] + c0])
-        for p in control_points:
-            writer.writerow(["control", p["n"], f"{p['dhat']:.4f}", ""])
-        write_atomic(os.path.join(outdir, "deficiency_curves.csv"), buf.getvalue())
-        write_json_atomic(os.path.join(outdir, "deficiency_summary.json"), summary)
-    return summary
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["sequence", "n", "dhat", "sigma_plus_c0"])
+    for p in alpha_points:
+        writer.writerow(["alpha", p["n"], f"{p['dhat']:.4f}", p["sigma"] + c0])
+    for p in control_points:
+        writer.writerow(["control", p["n"], f"{p['dhat']:.4f}", ""])
+    return _finish(summary, "deficiency", {"curves": buf.getvalue()}, outdir)
 
 
 RUNNERS = {

@@ -67,9 +67,6 @@ class Partition:
                 raise GadgetError("interval straddles the partition")
         return "0"
 
-    def ones_measure(self) -> Fraction:
-        return sum((iv.width for iv in self.ones), Fraction(0))
-
 
 @dataclass(frozen=True)
 class Column:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import arith
 from ._util import log2_fraction, neg_log2_ceil
-from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit
+from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit, self_delimited_len
 
 DEFAULT_KMAX = 8
 WEIGHT_BITS = 96
@@ -101,6 +101,7 @@ class QuantizedMixturePredictor:
         self.counts: list[dict[int, list[int]]] = [dict() for _ in range(kmax + 1)]
         self.ctx = [0] * (kmax + 1)
         self.t = 0
+        self.terms = self._terms()  # of the next prediction; update() advances it
 
     def _terms(self) -> list[tuple[int, int]]:
         """Per-order (num0, den) for the next-symbol prediction."""
@@ -118,7 +119,7 @@ class QuantizedMixturePredictor:
 
     def prob0_scaled(self) -> int:
         """Quantized P(next=0) in [1, 2**PROB_BITS - 1]."""
-        terms = self._terms()
+        terms = self.terms
         dens = 1
         for _, d in terms:
             dens *= d
@@ -134,7 +135,7 @@ class QuantizedMixturePredictor:
         return min(max(c, 1), (1 << arith.PROB_BITS) - 1)
 
     def update(self, bit: int) -> None:
-        terms = self._terms()
+        terms = self.terms
         top = 0
         for k in range(self.kmax + 1):
             n0, d = terms[k]
@@ -151,6 +152,7 @@ class QuantizedMixturePredictor:
         if shift > 0:
             self.w = [w << shift for w in self.w]
         self.t += 1
+        self.terms = self._terms()
 
 
 class MixtureCoder:
@@ -160,13 +162,24 @@ class MixtureCoder:
         self.kmax = kmax
         self.name = f"mixture{kmax}"
 
-    def encode(self, x: str) -> str:
+    def _code(self, x: str, positions=()) -> tuple[arith.ArithmeticEncoder, list[int]]:
+        """The one coding pass over x.  Returns the encoder after all of x and,
+        for each n in positions, the payload length had coding stopped at
+        x[:n] (positions past the end count as len(x))."""
+        want = set(positions)
+        at: dict[int, int] = {}
         pred = QuantizedMixturePredictor(self.kmax)
         enc = arith.ArithmeticEncoder()
-        for ch in x:
+        for t, ch in enumerate(x):
+            if t in want:
+                at[t] = enc.finish_length()
             bit = 1 if ch == "1" else 0
             enc.encode_bit(pred.prob0_scaled(), bit)
             pred.update(bit)
+        return enc, [at[n] if n in at else enc.finish_length() for n in positions]
+
+    def encode(self, x: str) -> str:
+        enc, _ = self._code(x)
         return self_delimit(encode_int(len(x) + 1) + enc.finish())
 
     def decode(self, bits: str, pos: int = 0) -> tuple[str, int]:
@@ -184,35 +197,15 @@ class MixtureCoder:
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
         """Exact codeword length of every prefix in one coding pass."""
-        want = sorted(set(positions))
-        results: dict[int, int] = {}
-        pred = QuantizedMixturePredictor(self.kmax)
-        enc = arith.ArithmeticEncoder()
-        wi = 0
-        for t, ch in enumerate(x):
-            while wi < len(want) and want[wi] == t:
-                inner = encode_int_len(t + 1) + enc.finish_length()
-                results[t] = encode_int_len(inner + 1) + inner
-                wi += 1
-            bit = 1 if ch == "1" else 0
-            enc.encode_bit(pred.prob0_scaled(), bit)
-            pred.update(bit)
-        while wi < len(want):
-            t = want[wi]
-            inner = encode_int_len(len(x) + 1) + enc.finish_length()
-            results[t] = encode_int_len(inner + 1) + inner
-            wi += 1
-        return [results[n] for n in positions]
+        _, lens = self._code(x, positions)
+        return [
+            self_delimited_len(encode_int_len(min(n, len(x)) + 1) + ln)
+            for n, ln in zip(positions, lens)
+        ]
 
     def payload_code_len(self, x: str) -> int:
         """Arithmetic-code bits alone, without the framing fields."""
-        pred = QuantizedMixturePredictor(self.kmax)
-        enc = arith.ArithmeticEncoder()
-        for ch in x:
-            bit = 1 if ch == "1" else 0
-            enc.encode_bit(pred.prob0_scaled(), bit)
-            pred.update(bit)
-        return enc.finish_length()
+        return self._code(x)[0].finish_length()
 
 
 def forecast_error(x: str, mu, rho: MixtureMeasure | None = None) -> float:

@@ -3,33 +3,34 @@
 Two variants are implemented:
 
 * ``LZ78Coder`` -- incremental parsing into phrases, each the shortest
-  extension of a previously seen phrase.  The emitted pointer is the
-  dictionary index by default (fixed width, tracking the dictionary size);
-  an Elias-coded index and the raw (start, length) coordinate form are kept
-  behind flags.
+  extension of a previously seen phrase.  Phrase k is coded as the
+  dictionary index of its longest proper prefix in a fixed-width field of
+  ceil(log2 k) bits, followed by its new symbol.
 * ``LZWindowCoder`` -- greedy longest match against all previous symbols, or
   against the previous ``window`` symbols; the source start must lie in the
   window but the copy may overlap the current position.  Smallest offset
   wins among longest matches.
 
 Every codeword is self-delimiting, so concatenated codewords decode
-unambiguously (the separating property).
+unambiguously (the separating property).  Each coder's ``prefix_bits``
+derives the codeword length of every prefix from the same per-phrase rule
+that ``encode`` emits, without encoding the prefixes.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bitio import (
     MalformedInput,
     decode_int,
     encode_int,
-    encode_int_len,
     read_self_delimited,
     self_delimit,
+    self_delimited_len,
 )
 from .suffixauto import SuffixAutomaton
 
@@ -39,13 +40,11 @@ class Phrase:
     """One parsed phrase: referenced dictionary entry plus one new symbol.
 
     ``ref_index`` is the dictionary index of the longest previously seen
-    prefix (0 is the empty phrase); ``ref_start``/``ref_len`` locate that
-    prefix's defining occurrence in the raw input; ``sym`` is None only for
-    an incomplete final phrase.
+    prefix (0 is the empty phrase) and ``ref_len`` its length; ``sym`` is
+    None only for an incomplete final phrase.
     """
 
     ref_index: int
-    ref_start: int
     ref_len: int
     sym: str | None
 
@@ -53,51 +52,43 @@ class Phrase:
 @dataclass
 class PhraseParse:
     phrases: list[Phrase]
-    covered_length: int
 
     def reconstruct(self) -> str:
+        entries = [""]  # dictionary entry per index
         out: list[str] = []
-        dictionary = [(0, 0)]  # (start, length) per index
-        pos = 0
         for ph in self.phrases:
-            start, ln = dictionary[ph.ref_index]
-            content = "".join(out)[start : start + ln]
+            content = entries[ph.ref_index]
             if ph.sym is not None:
                 content += ph.sym
-                dictionary.append((pos, ln + 1))
+                entries.append(content)
             out.append(content)
-            pos += len(content)
         return "".join(out)
 
 
-def lz78_parse(x: str) -> PhraseParse:
-    """Greedy leftmost incremental parse; final phrase may be incomplete."""
+def lz78_phrases(x: str):
+    """Greedy leftmost incremental parse, yielded phrase by phrase; the final
+    phrase may be incomplete."""
     index_of: dict[str, int] = {"": 0}
-    meta: list[tuple[int, int]] = [(0, 0)]  # (start, length) per index
-    phrases: list[Phrase] = []
     current = ""
     cur_idx = 0
-    pos = 0
-    start_of_phrase = 0
     for ch in x:
         candidate = current + ch
         idx = index_of.get(candidate)
-        pos += 1
         if idx is not None:
             current = candidate
             cur_idx = idx
             continue
-        ref_start, ref_len = meta[cur_idx]
-        phrases.append(Phrase(cur_idx, ref_start, ref_len, ch))
-        index_of[candidate] = len(meta)
-        meta.append((start_of_phrase, len(candidate)))
+        yield Phrase(cur_idx, len(current), ch)
+        index_of[candidate] = len(index_of)
         current = ""
         cur_idx = 0
-        start_of_phrase = pos
     if current:
-        ref_start, ref_len = meta[cur_idx]
-        phrases.append(Phrase(cur_idx, ref_start, ref_len, None))
-    return PhraseParse(phrases, len(x))
+        yield Phrase(cur_idx, len(current), None)
+
+
+def lz78_parse(x: str) -> PhraseParse:
+    """All phrases of x, collected."""
+    return PhraseParse(list(lz78_phrases(x)))
 
 
 def _fixed_width(k: int) -> int:
@@ -106,133 +97,70 @@ def _fixed_width(k: int) -> int:
 
 
 class LZ78Coder:
-    """Variant-1 coder.  pointer: "index" (default) or "coordinate";
-    index_code: "fixed" (default) or "elias"."""
+    """Variant-1 coder: phrase k is its dictionary index in a fixed-width
+    field of ceil(log2 k) bits, then its new symbol.  An incomplete final
+    phrase has no symbol; the payload is self-delimited."""
 
-    def __init__(self, pointer: str = "index", index_code: str = "fixed"):
-        if pointer not in ("index", "coordinate"):
-            raise ValueError("pointer must be 'index' or 'coordinate'")
-        if index_code not in ("fixed", "elias"):
-            raise ValueError("index_code must be 'fixed' or 'elias'")
-        self.pointer = pointer
-        self.index_code = index_code
-        self.name = "lz78"
+    name = "lz78"
 
-    def _phrase_bits(self, ph: Phrase, k: int) -> str:
-        if self.pointer == "coordinate":
-            out = encode_int(ph.ref_start + 1) + encode_int(ph.ref_len + 1)
-        elif self.index_code == "elias":
-            out = encode_int(ph.ref_index + 1)
-        else:
-            w = _fixed_width(k)
-            out = format(ph.ref_index, f"0{w}b") if w else ""
-        if ph.sym is not None:
-            out += ph.sym
-        return out
+    @staticmethod
+    def _phrase_bits(ph: Phrase, k: int) -> str:
+        """Bits of phrase number k (1-based): the one LZ78 cost rule."""
+        w = _fixed_width(k)
+        out = format(ph.ref_index, f"0{w}b") if w else ""
+        return out if ph.sym is None else out + ph.sym
 
     def encode(self, x: str) -> str:
-        parse = lz78_parse(x)
-        parts = []
-        for k, ph in enumerate(parse.phrases, start=1):
-            parts.append(self._phrase_bits(ph, k))
-        return self_delimit("".join(parts))
+        phrases = lz78_parse(x).phrases
+        return self_delimit("".join(self._phrase_bits(ph, k) for k, ph in enumerate(phrases, start=1)))
 
     def decode(self, bits: str, pos: int = 0) -> tuple[str, int]:
         payload, used = read_self_delimited(bits, pos)
+        entries = [""]  # dictionary entry per index
         out: list[str] = []
-        meta: list[tuple[int, int]] = [(0, 0)]
-        text_len = 0
         p = 0
-        k = 1
         n = len(payload)
         while p < n:
-            if self.pointer == "coordinate":
-                start, u = decode_int(payload, p)
-                p += u
-                ln, u = decode_int(payload, p)
-                p += u
-                start, ln = start - 1, ln - 1
-            else:
-                if self.index_code == "elias":
-                    idx, u = decode_int(payload, p)
-                    p += u
-                    idx -= 1
-                else:
-                    w = _fixed_width(k)
-                    if p + w > n:
-                        raise MalformedInput("truncated index field")
-                    idx = int(payload[p : p + w], 2) if w else 0
-                    p += w
-                if idx >= k:
-                    raise MalformedInput("phrase index out of range")
-                start, ln = meta[idx]
-            text = "".join(out)
-            if start + ln > len(text):
-                raise MalformedInput("phrase coordinate out of range")
-            content = text[start : start + ln]
+            k = len(entries)
+            w = _fixed_width(k)
+            if p + w > n:
+                raise MalformedInput("truncated index field")
+            idx = int(payload[p : p + w], 2) if w else 0
+            p += w
+            if idx >= k:
+                raise MalformedInput("phrase index out of range")
+            content = entries[idx]
             if p < n:
                 content += payload[p]
                 p += 1
-                meta.append((text_len, ln + 1))
-                k += 1
+                entries.append(content)
             out.append(content)
-            text_len += len(content)
         return "".join(out), used
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
-        """Exact codeword length of every prefix x[:n] in one parse pass."""
+        """Exact codeword length of every prefix x[:n] in one parse pass.
+
+        A prefix that ends inside phrase k ends in a proper prefix of it,
+        which the dictionary already holds (it is prefix-closed): x[:n]
+        parses as phrases 1..k-1 plus phrase k cut short, which keeps its
+        index field and loses its symbol.  The parse is streamed, not
+        collected, so the phrases of x are never all held at once.
+        """
         want = sorted(set(positions))
-        results: dict[int, int] = {}
-        if not want:
-            return []
-        index_of: dict[str, int] = {"": 0}
-        meta: list[tuple[int, int]] = [(0, 0)]
-        payload = 0
-        current = ""
-        cur_idx = 0
-        start_of_phrase = 0
-        k = 1
+        at: dict[int, int] = {}
         wi = 0
-
-        def pending_cost() -> int:
-            if not current:
-                return 0
-            if self.pointer == "coordinate":
-                s, ln = meta[cur_idx]
-                return encode_int_len(s + 1) + encode_int_len(ln + 1)
-            if self.index_code == "elias":
-                return encode_int_len(cur_idx + 1)
-            return _fixed_width(k)
-
-        for pos, ch in enumerate(x):
-            while wi < len(want) and want[wi] == pos:
-                pl = payload + pending_cost()
-                results[pos] = encode_int_len(pl + 1) + pl
+        end = payload = 0
+        for k, ph in enumerate(lz78_phrases(x), start=1):
+            start, end = end, end + ph.ref_len + (ph.sym is not None)
+            while wi < len(want) and want[wi] < end:
+                n = want[wi]
+                cut = len(self._phrase_bits(replace(ph, sym=None), k)) if n > start else 0
+                at[n] = self_delimited_len(payload + cut)
                 wi += 1
-            candidate = current + ch
-            idx = index_of.get(candidate)
-            if idx is not None:
-                current = candidate
-                cur_idx = idx
-                continue
-            s, ln = meta[cur_idx]
-            if self.pointer == "coordinate":
-                payload += encode_int_len(s + 1) + encode_int_len(ln + 1) + 1
-            elif self.index_code == "elias":
-                payload += encode_int_len(cur_idx + 1) + 1
-            else:
-                payload += _fixed_width(k) + 1
-            index_of[candidate] = len(meta)
-            meta.append((start_of_phrase, len(candidate)))
-            k += 1
-            current = ""
-            cur_idx = 0
-            start_of_phrase = pos + 1
-        while wi < len(want):
-            pl = payload + pending_cost()
-            results[want[wi]] = encode_int_len(pl + 1) + pl
-            wi += 1
-        return [results[n] for n in positions]
+            payload += len(self._phrase_bits(ph, k))
+        for n in want[wi:]:
+            at[n] = self_delimited_len(payload)
+        return [at[n] for n in positions]
 
 
 class LZWindowCoder:
@@ -348,7 +276,7 @@ class LZWindowCoder:
                         lo = 0 if self.window is None else max(0, i - self.window)
                         srcp = x.rfind(x[i : i + Lp], lo, i + Lp - 1)
                         pl += len(self._triple_bits(i, Lp, srcp, None))
-            results.append(encode_int_len(pl + 1) + pl)
+            results.append(self_delimited_len(pl))
         return results
 
 
@@ -397,34 +325,10 @@ class BlockCoder:
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
         N = self.block_len
-        total = 0
         cum = [0]
         for j in range(len(x) // N):
-            total += 1 + len(self.inner.encode(x[j * N : (j + 1) * N]))
-            cum.append(total)
-        results = []
-        for n in positions:
-            full = n // N
-            tail = n - full * N
-            results.append(cum[full] + 1 + encode_int_len(tail + 1) + tail)
-        return results
-
-
-class VerbatimCoder:
-    """Test double: 64-bit length header followed by the word itself."""
-
-    name = "verbatim"
-
-    def encode(self, x: str) -> str:
-        return format(len(x), "064b") + x
-
-    def decode(self, bits: str, pos: int = 0) -> tuple[str, int]:
-        if pos + 64 > len(bits):
-            raise MalformedInput("truncated header")
-        n = int(bits[pos : pos + 64], 2)
-        if pos + 64 + n > len(bits):
-            raise MalformedInput("truncated payload")
-        return bits[pos + 64 : pos + 64 + n], 64 + n
+            cum.append(cum[-1] + 1 + self.inner.prefix_bits(x[j * N : (j + 1) * N], [N])[0])
+        return [cum[n // N] + 1 + self_delimited_len(n % N) for n in positions]
 
 
 @dataclass
@@ -451,10 +355,7 @@ def ratio_curve(coder, x: str, stride: int) -> RatioCurve:
     curve = RatioCurve(coder=getattr(coder, "name", coder.__class__.__name__))
     if not ns:
         return curve
-    if hasattr(coder, "prefix_bits"):
-        lens = coder.prefix_bits(x, ns)
-    else:
-        lens = [len(coder.encode(x[:n])) for n in ns]
+    lens = coder.prefix_bits(x, ns)
     curve.points = [(n, ln, Fraction(ln, n)) for n, ln in zip(ns, lens)]
     return curve
 

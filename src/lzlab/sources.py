@@ -183,10 +183,6 @@ class RobustnessReport:
     block_final: dict[int, Fraction]
     curves: dict
 
-    def block_ratios_decreasing(self) -> bool:
-        vals = [self.block_final[N] for N in sorted(self.block_final)]
-        return all(a > b for a, b in zip(vals, vals[1:]))
-
 
 def robustness_experiment(source: MarkovSource, coder, n: int, block_lengths,
                           seed: int = 0, stride: int | None = None) -> RobustnessReport:

@@ -1,8 +1,9 @@
 """Shared randomized-instance builders for the oracle-equivalence and
-selection-procedure suites."""
+selection-procedure suites, and a verbatim test-double coder."""
 
 from fractions import Fraction
 
+from lzlab.bitio import MalformedInput
 from lzlab.intervals import Column, Gadget, Interval
 from lzlab.deficiency import Supermartingale, selection_threshold
 
@@ -75,3 +76,23 @@ def brute_force_selection(A, x, measure, mart, mu):
     thr = selection_threshold(x, measure, mart, A, mu)
     bad = [y for y in A if any(mart.value(y[:j]) > thr for j in range(len(x), len(y) + 1))]
     return [y for y in A if not any(y.startswith(z) for z in bad)], thr
+
+
+class VerbatimCoder:
+    """Test double: 64-bit length header followed by the word itself."""
+
+    name = "verbatim"
+
+    def encode(self, x: str) -> str:
+        return format(len(x), "064b") + x
+
+    def decode(self, bits: str, pos: int = 0) -> tuple[str, int]:
+        if pos + 64 > len(bits):
+            raise MalformedInput("truncated header")
+        n = int(bits[pos : pos + 64], 2)
+        if pos + 64 + n > len(bits):
+            raise MalformedInput("truncated payload")
+        return bits[pos + 64 : pos + 64 + n], 64 + n
+
+    def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
+        return [64 + min(n, len(x)) for n in positions]

@@ -20,13 +20,13 @@ from fractions import Fraction
 
 import pytest
 
-from family import brute_force_selection, random_gadget, random_measure, random_supermartingale
+from family import VerbatimCoder, brute_force_selection, random_gadget, random_measure, random_supermartingale
 from lzlab.bitio import encode_int, kraft_sum
 from lzlab.construction import Construction, ConstructionParams
 from lzlab.deficiency import cylinder_mass, select_subset
 from lzlab.intervals import mfold_explicit, name_measure_explicit, well_distributedness_explicit
 from lzlab.ktmix import MixtureCoder
-from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, VerbatimCoder, decodability_check
+from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, decodability_check
 from lzlab.experiments import run_deficiency, run_oscillation, run_robustness
 from lzlab.sources import flip_chain, robustness_experiment
 from lzlab.symbolic import base_node, mfold, name_measure, well_distributedness_mfold

@@ -13,6 +13,8 @@ from lzlab.experiments import (
     OSCILLATION_DEFAULTS,
     merge_config,
     run_experiment,
+    run_robustness,
+    run_universality,
 )
 
 
@@ -184,6 +186,32 @@ def test_experiment_cli_runs_small_deficiency(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "deficiency" in out
     assert (tmp_path / "res" / "deficiency_summary.json").exists()
+
+
+def test_source_named_runners_write_outdir(tmp_path):
+    # source names such as bernoulli(1/2) contain '/', which becomes '_'
+    run_robustness({"n": 4096, "stride": 1024, "block_lengths": [64]}, outdir=str(tmp_path / "rob"))
+    assert sorted(os.listdir(tmp_path / "rob")) == [
+        "robustness_bernoulli(1_2)_block64.csv",
+        "robustness_bernoulli(1_2)_full.csv",
+        "robustness_flip(1_10)_block64.csv",
+        "robustness_flip(1_10)_full.csv",
+        "robustness_summary.json",
+    ]
+    run_universality({"mixture_n": 500, "lz_n": 2048, "stride": 1024}, outdir=str(tmp_path / "uni"))
+    assert sorted(os.listdir(tmp_path / "uni")) == [
+        "universality_bernoulli(1_5)_lz78.csv",
+        "universality_flip(1_10)_lz78.csv",
+        "universality_markov2_lz78.csv",
+        "universality_summary.json",
+    ]
+    for sub in ("rob", "uni"):
+        for name in os.listdir(tmp_path / sub):
+            if name.endswith(".csv"):
+                with open(tmp_path / sub / name, newline="") as fh:
+                    assert next(csv.reader(fh)) == CSV_HEADER
+            else:
+                assert "checks" in json.loads((tmp_path / sub / name).read_text())
 
 
 def test_unknown_experiment_rejected():

@@ -150,10 +150,10 @@ def test_completeness_of_early_stages_explicit():
 def test_measure_query_examples():
     c = tiny_construction(stages=0)
     eps = F(1, 64)
-    assert c.measure_query("", eps) == 1
-    p1 = c.measure_query("1", eps)
+    assert c.query("", eps) == 1
+    p1 = c.query("1", eps)
     assert abs(p1 - c.params.r) <= eps
-    p0 = c.measure_query("0", eps)
+    p0 = c.query("0", eps)
     assert abs(1 - p0 - p1) <= 2 * eps
 
 
@@ -164,9 +164,9 @@ def test_measure_query_additivity():
     for _ in range(8):
         x = "".join(rng.choice("01") for _ in range(rng.randrange(1, 5)))
         gap = abs(
-            c.measure_query(x, eps)
-            - c.measure_query(x + "0", eps)
-            - c.measure_query(x + "1", eps)
+            c.query(x, eps)
+            - c.query(x + "0", eps)
+            - c.query(x + "1", eps)
         )
         assert gap <= 3 * eps
 
@@ -197,7 +197,7 @@ def test_sample_sequence_contracts():
 def test_sample_matches_measure_monte_carlo():
     c = tiny_construction()
     word = "001"
-    q = float(c.measure_query(word, F(1, 512)))
+    q = float(c.query(word, F(1, 512)))
     hits = sum(c.sample_sequence(2000 + i, 3) == word for i in range(1500))
     se = math.sqrt(q * (1 - q) / 1500)
     assert abs(hits / 1500 - q) <= 4 * se + 0.002

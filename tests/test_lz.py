@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from family import VerbatimCoder
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
+from lzlab.ktmix import MixtureCoder
 from lzlab.lz import (
     BlockCoder,
     LZ78Coder,
     LZWindowCoder,
-    VerbatimCoder,
     compression_ratio,
     decodability_check,
     lz78_parse,
@@ -59,8 +60,6 @@ def test_parse_reconstruct_and_distinct_phrases():
     "coder",
     [
         LZ78Coder(),
-        LZ78Coder(index_code="elias"),
-        LZ78Coder(pointer="coordinate"),
         LZWindowCoder(),
         LZWindowCoder(window=16),
         LZWindowCoder(window=256),
@@ -255,21 +254,30 @@ def test_ratio_hand_example():
 
 @pytest.mark.parametrize(
     "coder",
-    [LZ78Coder(), LZ78Coder(pointer="coordinate"), LZWindowCoder(), LZWindowCoder(window=32), BlockCoder(64)],
+    [
+        LZ78Coder(),
+        LZWindowCoder(),
+        LZWindowCoder(window=32),
+        BlockCoder(64),
+        BlockCoder(64, MixtureCoder(2)),
+        BlockCoder(16, LZWindowCoder()),
+        BlockCoder(32, VerbatimCoder()),
+    ],
 )
 def test_prefix_bits_match_reencoding(coder):
     rng = random.Random(17)
     x = "".join(rng.choice("01") for _ in range(700))
     x = x[:350] + "0" * 200 + x[350:500]
-    ns = list(range(1, len(x) + 1, 13)) + [len(x)]
-    got = coder.prefix_bits(x, ns)
-    want = [len(coder.encode(x[:n])) for n in ns]
-    assert got == want
+    # "0000" parses as 0, 00, 0: it ends inside an incomplete LZ78 phrase
+    for word, ns in ((x, [0, *range(1, len(x) + 1, 13), len(x)]), ("0000", [0, 1, 2, 3, 4])):
+        got = coder.prefix_bits(word, ns)
+        want = [len(coder.encode(word[:n])) for n in ns]
+        assert got == want
 
 
 @pytest.mark.parametrize(
     "coder",
-    [LZ78Coder(), LZ78Coder(index_code="elias"), LZWindowCoder(), LZWindowCoder(window=64), BlockCoder(32)],
+    [LZ78Coder(), LZWindowCoder(), LZWindowCoder(window=64), BlockCoder(32)],
 )
 def test_separating_property(coder):
     report = decodability_check(coder, pairs=1000, seed=123)
@@ -279,5 +287,10 @@ def test_separating_property(coder):
 def test_decode_malformed_raises():
     with pytest.raises(MalformedInput):
         LZ78Coder().decode("0000000")
+    # phrases 0, (index 0)0, then phrase 3's 2-bit index field
+    with pytest.raises(MalformedInput, match="truncated index field"):
+        LZ78Coder().decode(self_delimit("000" + "1"))
+    with pytest.raises(MalformedInput, match="phrase index out of range"):
+        LZ78Coder().decode(self_delimit("000" + "11"))
     with pytest.raises(MalformedInput):
         LZWindowCoder().decode(self_delimit("0100"))  # offset into void
