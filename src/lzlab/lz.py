@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -65,7 +66,7 @@ class PhraseParse:
         return "".join(out)
 
 
-def lz78_phrases(x: str):
+def lz78_phrases(x: str) -> Iterator[Phrase]:
     """Greedy leftmost incremental parse, yielded phrase by phrase; the final
     phrase may be incomplete."""
     index_of: dict[str, int] = {"": 0}
