@@ -101,21 +101,8 @@ class QuantizedMixturePredictor:
         self.counts: list[dict[int, list[int]]] = [dict() for _ in range(kmax + 1)]
         self.ctx = [0] * (kmax + 1)
         self.t = 0
-        self.terms = self._terms()  # of the next prediction; update() advances it
-
-    def _terms(self) -> list[tuple[int, int]]:
-        """Per-order (num0, den) for the next-symbol prediction."""
-        out = []
-        for k in range(self.kmax + 1):
-            if self.t < k:
-                out.append((1, 2))
-                continue
-            c = self.counts[k].get(self.ctx[k])
-            if c is None:
-                out.append((1, 2))
-            else:
-                out.append((2 * c[0] + 1, 2 * (c[0] + c[1]) + 2))
-        return out
+        # per-order (num0, den) of the next prediction; every context starts unseen
+        self.terms = [(1, 2)] * (kmax + 1)
 
     def prob0_scaled(self) -> int:
         """Quantized P(next=0) in [1, 2**PROB_BITS - 1]."""
@@ -135,24 +122,29 @@ class QuantizedMixturePredictor:
         return min(max(c, 1), (1 << arith.PROB_BITS) - 1)
 
     def update(self, bit: int) -> None:
-        terms = self.terms
+        """Fold the coded bit into the weights and counts, and form the terms
+        of the next prediction: (count0 + 1/2) / (total + 1) per order, in
+        halves.  Order k's counts stay empty until k symbols are seen, so its
+        first k predictions are 1/2."""
+        terms = []
         top = 0
-        for k in range(self.kmax + 1):
-            n0, d = terms[k]
-            num = n0 if bit == 0 else d - n0
-            self.w[k] = self.w[k] * num // d
-            if self.w[k] > top:
-                top = self.w[k]
+        for k, (n0, d) in enumerate(self.terms):
+            w = self.w[k] * (n0 if bit == 0 else d - n0) // d
+            self.w[k] = w
+            if w > top:
+                top = w
+            counts = self.counts[k]
             if self.t >= k:
-                c = self.counts[k].setdefault(self.ctx[k], [0, 0])
-                c[bit] += 1
-            mask = (1 << k) - 1
-            self.ctx[k] = ((self.ctx[k] << 1) | bit) & mask
+                counts.setdefault(self.ctx[k], [0, 0])[bit] += 1
+            ctx = ((self.ctx[k] << 1) | bit) & ((1 << k) - 1)
+            self.ctx[k] = ctx
+            c = counts.get(ctx)
+            terms.append((1, 2) if c is None else (2 * c[0] + 1, 2 * (c[0] + c[1]) + 2))
+        self.terms = terms
         shift = WEIGHT_BITS - top.bit_length()
         if shift > 0:
             self.w = [w << shift for w in self.w]
         self.t += 1
-        self.terms = self._terms()
 
 
 class MixtureCoder:
