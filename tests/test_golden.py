@@ -4,7 +4,7 @@ A refactor of a coder must reproduce these exactly: the sha256 of each
 ``encode`` codeword, of the ``prefix_bits`` list at fixed checkpoints, and
 the mixture coders' ``payload_code_len``.  The checkpoints include 0, every
 LZ78 phrase boundary, and a cut inside the input's final, incomplete LZ78
-phrase.
+phrase.  The mixture coders are pinned once more on a 2^15-bit alpha prefix.
 """
 
 import hashlib
@@ -119,3 +119,27 @@ def test_inputs_end_in_incomplete_phrase():
 @pytest.mark.parametrize("coder_name", sorted(CODERS))
 def test_golden_digest(coder_name, input_name):
     assert golden_values(coder_name, input_name) == GOLDEN[coder_name, input_name]
+
+
+LONG_ALPHA = _alpha_prefix(1 << 15)
+
+# the mixture coders on a 2^15-bit alpha prefix, long enough that most of
+# the mixture's orders reach weight 0 partway through
+GOLDEN_LONG_ALPHA = {
+    "mixture4": {'encode': '88fb629a89ec98b8', 'prefix_bits': '1690b9229f9789d2', 'payload_code_len': 2907},
+    "mixture8": {'encode': 'e1ed649d9fca9946', 'prefix_bits': '668ead68caba3943', 'payload_code_len': 2548},
+}
+
+
+@pytest.mark.parametrize("coder_name", sorted(GOLDEN_LONG_ALPHA))
+def test_golden_digest_long_alpha(coder_name):
+    coder = CODERS[coder_name]
+    x = LONG_ALPHA
+    n = len(x)
+    assert n == 1 << 15
+    checkpoints = sorted({0, 1, n - 1, n} | set(range(0, n, 1000)))
+    assert {
+        "encode": _sha(coder.encode(x)),
+        "prefix_bits": _sha(",".join(map(str, coder.prefix_bits(x, checkpoints)))),
+        "payload_code_len": coder.payload_code_len(x),
+    } == GOLDEN_LONG_ALPHA[coder_name]
