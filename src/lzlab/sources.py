@@ -132,10 +132,6 @@ class MarkovSource:
     def sample(self, seed: int, n: int) -> str:
         """Seeded stationary sample of length n (includes the initial block)."""
         rng = random.Random(seed)
-
-        def draw(threshold: Fraction) -> bool:
-            return F(rng.getrandbits(64), 1 << 64) < threshold
-
         out = []
         if self.order:
             u = F(rng.getrandbits(64), 1 << 64)
@@ -147,12 +143,15 @@ class MarkovSource:
                     ctx = c
                     break
             out.extend(ctx)
-        else:
-            ctx = ""
-        while len(out) < n:
-            sym = "1" if draw(self.p_one[ctx]) else "0"
-            out.append(sym)
-            ctx = (ctx + sym)[1:] if self.order else ""
+        state = int(ctx, 2) if self.order else 0
+        mask = (1 << self.order) - 1
+        # a 64-bit draw r emits '1' iff r / 2**64 < p, that is iff r < ceil(p * 2**64)
+        cut = [math.ceil(self.p_one[c] * (1 << 64)) for c in self.contexts]
+        getrandbits = rng.getrandbits
+        for _ in range(n - len(out)):
+            bit = getrandbits(64) < cut[state]
+            out.append("1" if bit else "0")
+            state = ((state << 1) | bit) & mask
         return "".join(out[:n])
 
 

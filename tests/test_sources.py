@@ -68,6 +68,44 @@ def test_sample_transition_counts():
     assert abs(flips / (len(x) - 1) - 0.1) <= 4 * se
 
 
+def _reference_sample(src: MarkovSource, seed: int, n: int) -> str:
+    """The sampler as first written: one exact Fraction comparison per bit."""
+    rng = random.Random(seed)
+    out = []
+    ctx = ""
+    if src.order:
+        u = F(rng.getrandbits(64), 1 << 64)
+        acc = F(0)
+        ctx = src.contexts[-1]
+        for c in src.contexts:
+            acc += src.stationary[c]
+            if u < acc:
+                ctx = c
+                break
+        out.extend(ctx)
+    while len(out) < n:
+        sym = "1" if F(rng.getrandbits(64), 1 << 64) < src.p_one[ctx] else "0"
+        out.append(sym)
+        ctx = (ctx + sym)[1:] if src.order else ""
+    return "".join(out[:n])
+
+
+@pytest.mark.parametrize("src", [
+    bernoulli(F(0)),
+    bernoulli(F(1)),
+    bernoulli(F(1, 2)),
+    bernoulli(F(1, 5)),
+    bernoulli(1 - F(1, 2**64)),
+    flip_chain(F(1, 10)),
+    MarkovSource(2, {"00": F(1, 3), "01": F(2, 7), "10": F(9, 10), "11": F(1, 17)}),
+], ids=lambda src: src.name)
+def test_sample_matches_fraction_reference(src):
+    """The integer-threshold sampler emits exactly the reference's bits."""
+    for seed in (1, 2, 3):
+        for n in (0, 1, 2, 5000):
+            assert src.sample(seed, n) == _reference_sample(src, seed, n)
+
+
 def test_log_prob_consistency_lln():
     """-(1/n) log2 P(sample) converges to the entropy rate."""
     for src in (bernoulli(F(1, 5)), flip_chain(F(1, 10))):
