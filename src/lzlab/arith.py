@@ -24,9 +24,11 @@ class ArithmeticEncoder:
         self.high = TOP - 1
         self.pending = 0
         self.bits: list[str] = []
+        self.nbits = 0  # total length of the chunks in self.bits
 
     def _emit(self, bit: int) -> None:
         self.bits.append("1" if bit else "0")
+        self.nbits += 1 + self.pending
         if self.pending:
             self.bits.append(("0" if bit else "1") * self.pending)
             self.pending = 0
@@ -57,7 +59,7 @@ class ArithmeticEncoder:
 
     def finish_length(self) -> int:
         """Payload length if finished now (without mutating state)."""
-        return len("".join(self.bits)) + self.pending + _dyadic_bits(self.low, self.high)[0]
+        return self.nbits + self.pending + _dyadic_bits(self.low, self.high)[0]
 
     def finish(self) -> str:
         ell, v = _dyadic_bits(self.low, self.high)
