@@ -82,8 +82,9 @@ def _write_curve(path, curve):
 def cmd_encode(args):
     coder = _make_coder(args)
     word = read_bits_file(args.infile)
-    write_bits_file(args.out, coder.encode(word))
-    print(f"{coder.name}: {len(word)} symbols -> {len(coder.encode(word))} bits")
+    code = coder.encode(word)
+    write_bits_file(args.out, code)
+    print(f"{coder.name}: {len(word)} symbols -> {len(code)} bits")
 
 
 def cmd_decode(args):
