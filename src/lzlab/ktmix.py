@@ -17,6 +17,7 @@ from ._util import log2_fraction, neg_log2_ceil
 from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit, self_delimited_len
 
 DEFAULT_KMAX = 8
+MAX_KMAX = 20
 WEIGHT_BITS = 96
 
 
@@ -91,60 +92,89 @@ class QuantizedMixturePredictor:
     Weights live in WEIGHT_BITS-bit registers, probabilities are emitted at
     arith.PROB_BITS precision; every operation is integer, so encoder and
     decoder trajectories match bit for bit.
+
+    The prediction is floor(2**PROB_BITS * sum_k w_k n0_k/d_k / sum_k w_k),
+    where n0_k/d_k = (count0 + 1/2) / (total + 1) is order k's KT estimate
+    in halves for its current context.  ``update`` forms it in the loop that
+    folds the bit in, as one running fraction A / (W * B) with
+    A <- A*d_k + w_k*n0_k*B, B <- B*d_k, W <- W + w_k.
+
+    An order whose weight floors to 0 is retired: it is dropped from the
+    loop for good.  This is exact: its weight stays 0 (0 * n // d = 0), so
+    it adds nothing to A or W, and its factor d_k, which would multiply A and
+    W * B alike, leaves the fraction unchanged.  The orders never all retire:
+    after renormalisation the top weight has WEIGHT_BITS bits, and every
+    estimate is at least 1/(2 * total + 2).
+
+    Each order keeps flat per-context lists of 2*count0 + 1 and
+    2*total + 2, indexed by its last k bits, so the lists of all orders hold
+    2**(kmax + 2) entries; kmax is capped at MAX_KMAX to bound them.
     """
 
     def __init__(self, kmax: int):
+        if not 0 <= kmax <= MAX_KMAX:
+            raise ValueError(f"kmax must lie in [0, {MAX_KMAX}]")
         self.kmax = kmax
-        weights = mixture_weights(kmax)
         scale = 1 << WEIGHT_BITS
-        self.w = [max(1, int(wt * scale)) for wt in weights]
-        self.counts: list[dict[int, list[int]]] = [dict() for _ in range(kmax + 1)]
-        self.ctx = [0] * (kmax + 1)
+        # per live order: [weight, k, context mask, 2*count0 + 1, 2*total + 2]
+        self.orders = [
+            [max(1, int(wt * scale)), k, (1 << k) - 1, [1] * (1 << k), [2] * (1 << k)]
+            for k, wt in enumerate(mixture_weights(kmax))
+        ]
+        self.hist = 0  # the last kmax bits, newest lowest
+        self.hist_mask = (1 << kmax) - 1
+        self.shift = 0  # pending renormalisation of the stored weights
         self.t = 0
-        # per-order (num0, den) of the next prediction; every context starts unseen
-        self.terms = [(1, 2)] * (kmax + 1)
+        self.c = 1 << (arith.PROB_BITS - 1)  # every order predicts 1/2
 
     def prob0_scaled(self) -> int:
         """Quantized P(next=0) in [1, 2**PROB_BITS - 1]."""
-        terms = self.terms
-        dens = 1
-        for _, d in terms:
-            dens *= d
-        num = 0
-        den = 0
-        for w, (n0, d) in zip(self.w, terms):
-            if not w:
-                continue
-            share = dens // d
-            num += w * n0 * share
-            den += w * dens
-        c = (num << arith.PROB_BITS) // den
-        return min(max(c, 1), (1 << arith.PROB_BITS) - 1)
+        return self.c
 
     def update(self, bit: int) -> None:
-        """Fold the coded bit into the weights and counts, and form the terms
-        of the next prediction: (count0 + 1/2) / (total + 1) per order, in
-        halves.  Order k's counts stay empty until k symbols are seen, so its
-        first k predictions are 1/2."""
-        terms = []
+        """Fold the coded bit into the weights and counts, and form the next
+        prediction.  Order k's counts stay empty until k symbols are seen, so
+        its first k predictions are 1/2.  The weights are stored before their
+        renormalising shift, which the next update applies; the shift scales
+        A and W alike and cancels in the prediction."""
+        hist = self.hist
+        nxt = ((hist << 1) | bit) & self.hist_mask
+        shift = self.shift
+        t = self.t
+        a = 0
+        b = 1
+        wsum = 0
         top = 0
-        for k, (n0, d) in enumerate(self.terms):
-            w = self.w[k] * (n0 if bit == 0 else d - n0) // d
-            self.w[k] = w
+        retired = False
+        for order in self.orders:
+            w, k, mask, n0s, ds = order
+            ctx = hist & mask
+            n0 = n0s[ctx]
+            d = ds[ctx]
+            w = (w << shift) * (d - n0 if bit else n0) // d
+            order[0] = w
+            if not w:
+                retired = True
+                continue
+            if t >= k:
+                ds[ctx] = d + 2
+                if not bit:
+                    n0s[ctx] = n0 + 2
+            ctx = nxt & mask
+            n0 = n0s[ctx]
+            d = ds[ctx]
+            a = a * d + w * n0 * b
+            b *= d
+            wsum += w
             if w > top:
                 top = w
-            counts = self.counts[k]
-            if self.t >= k:
-                counts.setdefault(self.ctx[k], [0, 0])[bit] += 1
-            ctx = ((self.ctx[k] << 1) | bit) & ((1 << k) - 1)
-            self.ctx[k] = ctx
-            c = counts.get(ctx)
-            terms.append((1, 2) if c is None else (2 * c[0] + 1, 2 * (c[0] + c[1]) + 2))
-        self.terms = terms
-        shift = WEIGHT_BITS - top.bit_length()
-        if shift > 0:
-            self.w = [w << shift for w in self.w]
-        self.t += 1
+        if retired:
+            self.orders = [order for order in self.orders if order[0]]
+        self.hist = nxt
+        self.shift = WEIGHT_BITS - top.bit_length()
+        self.t = t + 1
+        c = (a << arith.PROB_BITS) // (wsum * b)
+        self.c = min(max(c, 1), (1 << arith.PROB_BITS) - 1)
 
 
 class MixtureCoder:

@@ -1,11 +1,14 @@
 """Shared randomized-instance builders for the oracle-equivalence and
-selection-procedure suites, and a verbatim test-double coder."""
+selection-procedure suites, a verbatim test-double coder, and the reference
+mixture predictor."""
 
 from fractions import Fraction
 
+from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput
 from lzlab.intervals import Column, Gadget, Interval
 from lzlab.deficiency import Supermartingale, selection_threshold
+from lzlab.ktmix import WEIGHT_BITS, mixture_weights
 
 F = Fraction
 
@@ -96,3 +99,66 @@ class VerbatimCoder:
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
         return [64 + min(n, len(x)) for n in positions]
+
+
+class ReferenceMixturePredictor:
+    """The quantized mixture predictor as first written, kept as the oracle
+    that ``QuantizedMixturePredictor`` must match value for value.
+
+    Weights live in WEIGHT_BITS-bit registers, probabilities are emitted at
+    PROB_BITS precision; every operation is integer, so encoder and
+    decoder trajectories match bit for bit.
+    """
+
+    def __init__(self, kmax: int):
+        self.kmax = kmax
+        weights = mixture_weights(kmax)
+        scale = 1 << WEIGHT_BITS
+        self.w = [max(1, int(wt * scale)) for wt in weights]
+        self.counts: list[dict[int, list[int]]] = [dict() for _ in range(kmax + 1)]
+        self.ctx = [0] * (kmax + 1)
+        self.t = 0
+        # per-order (num0, den) of the next prediction; every context starts unseen
+        self.terms = [(1, 2)] * (kmax + 1)
+
+    def prob0_scaled(self) -> int:
+        """Quantized P(next=0) in [1, 2**PROB_BITS - 1]."""
+        terms = self.terms
+        dens = 1
+        for _, d in terms:
+            dens *= d
+        num = 0
+        den = 0
+        for w, (n0, d) in zip(self.w, terms):
+            if not w:
+                continue
+            share = dens // d
+            num += w * n0 * share
+            den += w * dens
+        c = (num << PROB_BITS) // den
+        return min(max(c, 1), (1 << PROB_BITS) - 1)
+
+    def update(self, bit: int) -> None:
+        """Fold the coded bit into the weights and counts, and form the terms
+        of the next prediction: (count0 + 1/2) / (total + 1) per order, in
+        halves.  Order k's counts stay empty until k symbols are seen, so its
+        first k predictions are 1/2."""
+        terms = []
+        top = 0
+        for k, (n0, d) in enumerate(self.terms):
+            w = self.w[k] * (n0 if bit == 0 else d - n0) // d
+            self.w[k] = w
+            if w > top:
+                top = w
+            counts = self.counts[k]
+            if self.t >= k:
+                counts.setdefault(self.ctx[k], [0, 0])[bit] += 1
+            ctx = ((self.ctx[k] << 1) | bit) & ((1 << k) - 1)
+            self.ctx[k] = ctx
+            c = counts.get(ctx)
+            terms.append((1, 2) if c is None else (2 * c[0] + 1, 2 * (c[0] + c[1]) + 2))
+        self.terms = terms
+        shift = WEIGHT_BITS - top.bit_length()
+        if shift > 0:
+            self.w = [w << shift for w in self.w]
+        self.t += 1

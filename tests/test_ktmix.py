@@ -7,10 +7,15 @@ from lzlab._util import binary_entropy
 from lzlab.ktmix import (
     MixtureCoder,
     MixtureMeasure,
+    QuantizedMixturePredictor,
     forecast_error,
     kt_prob,
     mixture_weights,
 )
+from lzlab.sources import bernoulli, flip_chain
+
+from family import ReferenceMixturePredictor
+from test_golden import LONG_ALPHA
 
 
 def test_kt_prob_hand_values():
@@ -58,6 +63,44 @@ def test_mixture_pred_is_conditional():
     x = "0110100"
     assert m.pred(x, "1") == m.prob(x + "1") / m.prob(x)
     assert m.pred(x, "0") + m.pred(x, "1") == 1
+
+
+ORACLE_INPUTS = {
+    "flip": flip_chain(Fraction(1, 10)).sample(11, 4000),
+    "fair": bernoulli(Fraction(1, 2)).sample(12, 4000),
+    "alpha": LONG_ALPHA[: 1 << 14],
+}
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 4, 8])
+@pytest.mark.parametrize("input_name", sorted(ORACLE_INPUTS))
+def test_predictor_matches_reference(input_name, kmax):
+    """Every prediction equals the reference predictor's, and an order is
+    retired exactly when the reference's weight for it reaches 0."""
+    x = ORACLE_INPUTS[input_name]
+    pred = QuantizedMixturePredictor(kmax)
+    ref = ReferenceMixturePredictor(kmax)
+    got = []
+    want = []
+    for ch in x:
+        got.append(pred.prob0_scaled())
+        want.append(ref.prob0_scaled())
+        bit = 1 if ch == "1" else 0
+        pred.update(bit)
+        ref.update(bit)
+    assert got == want
+    dead = [k for k, w in enumerate(ref.w) if not w]
+    assert sorted(order[1] for order in pred.orders) == [k for k in range(kmax + 1) if k not in dead]
+    if input_name == "flip" and kmax >= 1:
+        assert 0 in dead  # order 0 retires early on a flip chain
+    if input_name == "fair" and kmax <= 4:
+        assert not dead
+
+
+def test_predictor_rejects_kmax_out_of_range():
+    for kmax in (-1, 21):
+        with pytest.raises(ValueError):
+            QuantizedMixturePredictor(kmax)
 
 
 def test_code_roundtrip_random_words():
