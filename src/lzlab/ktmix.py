@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import arith
+from .arith import PROB_BITS
 from ._util import log2_fraction, neg_log2_ceil
 from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit, self_delimited_len
 
@@ -90,7 +91,7 @@ class QuantizedMixturePredictor:
     """Integer twin of MixtureMeasure used by the coder.
 
     Weights live in WEIGHT_BITS-bit registers, probabilities are emitted at
-    arith.PROB_BITS precision; every operation is integer, so encoder and
+    PROB_BITS precision; every operation is integer, so encoder and
     decoder trajectories match bit for bit.
 
     The prediction is floor(2**PROB_BITS * sum_k w_k n0_k/d_k / sum_k w_k),
@@ -108,7 +109,7 @@ class QuantizedMixturePredictor:
 
     Each order keeps flat per-context lists of 2*count0 + 1 and
     2*total + 2, indexed by its last k bits, so the lists of all orders hold
-    2**(kmax + 2) entries; kmax is capped at MAX_KMAX to bound them.
+    fewer than 2**(kmax + 2) entries; kmax is capped at MAX_KMAX to bound them.
     """
 
     def __init__(self, kmax: int):
@@ -125,7 +126,7 @@ class QuantizedMixturePredictor:
         self.hist_mask = (1 << kmax) - 1
         self.shift = 0  # pending renormalisation of the stored weights
         self.t = 0
-        self.c = 1 << (arith.PROB_BITS - 1)  # every order predicts 1/2
+        self.c = 1 << (PROB_BITS - 1)  # every order predicts 1/2
 
     def prob0_scaled(self) -> int:
         """Quantized P(next=0) in [1, 2**PROB_BITS - 1]."""
@@ -173,8 +174,9 @@ class QuantizedMixturePredictor:
         self.hist = nxt
         self.shift = WEIGHT_BITS - top.bit_length()
         self.t = t + 1
-        c = (a << arith.PROB_BITS) // (wsum * b)
-        self.c = min(max(c, 1), (1 << arith.PROB_BITS) - 1)
+        # every estimate lies in [1/(2t + 2), 1 - 1/(2t + 2)], so c < 2**PROB_BITS,
+        # and c >= 1 while 2t + 2 <= 2**PROB_BITS
+        self.c = (a << PROB_BITS) // (wsum * b) or 1
 
 
 class MixtureCoder:
