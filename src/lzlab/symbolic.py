@@ -322,12 +322,13 @@ class MFoldNode(SymbolicGadget):
                 return
             s, h, n = sub[idx]
             for take in range(left + 1):
+                ways = math.comb(left, take)
                 rec(
                     idx + 1,
                     left - take,
-                    share * s**take * math.comb(left, take),
+                    share * s**take * ways,
                     height + h * take,
-                    count * n**take,
+                    count * n**take * ways,
                 )
 
         rec(0, self.m, Fraction(1), 0, 1)
