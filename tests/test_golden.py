@@ -1,4 +1,5 @@
-"""Golden digests of every coder's output on fixed seeded inputs.
+"""Golden digests of every coder's output on fixed seeded inputs, and of
+the four experiment runners' results at small configs.
 
 A refactor of a coder must reproduce these exactly: the sha256 of each
 ``encode`` codeword, of the ``prefix_bits`` list at fixed checkpoints, and
@@ -8,11 +9,14 @@ phrase.  The mixture coders are pinned once more on a 2^15-bit alpha prefix.
 """
 
 import hashlib
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
+from lzlab import experiments
 from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, lz78_parse
@@ -143,3 +147,45 @@ def test_golden_digest_long_alpha(coder_name):
         "prefix_bits": _sha(",".join(map(str, coder.prefix_bits(x, checkpoints)))),
         "payload_code_len": coder.payload_code_len(x),
     } == GOLDEN_LONG_ALPHA[coder_name]
+
+
+# The runners at the configs of the benchmark's ``runners`` workload.
+RUNNER_SEED = 20260810
+RUNNER_CONFIGS = {
+    "oscillation": {"h0": 16, "initial_length": 24, "min_length": 1 << 17},
+    "deficiency": {
+        "alpha_checkpoints": [768, 1024],
+        "control_checkpoints": [750, 1000],
+        "control_n": 1000,
+    },
+    "universality": {"mixture_n": 8000, "lz_n": 1 << 15, "stride": 4096},
+    "robustness": {"n": 1 << 15, "stride": 4096},
+}
+
+# oscillation and deficiency: every result file, in name order, with its
+# name; universality and robustness: the summary JSON as written
+GOLDEN_RUNNERS = {
+    "deficiency": "9248d7b022a089a2",
+    "oscillation": "19552da16608f977",
+    "robustness": "3bc0d692014248c4",
+    "universality": "c0568dba03552b21",
+}
+
+
+def runner_digest(name: str, outdir: str) -> str:
+    summary = experiments.RUNNERS[name](dict(RUNNER_CONFIGS[name], seed=RUNNER_SEED), outdir)
+    h = hashlib.sha256()
+    if name in ("oscillation", "deficiency"):
+        for fname in sorted(os.listdir(outdir)):
+            h.update(fname.encode() + b"\0")
+            with open(os.path.join(outdir, fname), "rb") as fh:
+                h.update(fh.read())
+            h.update(b"\0")
+    else:
+        h.update((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_CONFIGS))
+def test_golden_runner_results(name, tmp_path):
+    assert runner_digest(name, str(tmp_path)) == GOLDEN_RUNNERS[name]
