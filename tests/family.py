@@ -1,6 +1,6 @@
 """Shared randomized-instance builders for the oracle-equivalence and
-selection-procedure suites, a verbatim test-double coder, and the reference
-mixture predictor."""
+selection-procedure suites, a verbatim test-double coder, the reference
+mixture predictor and the reference name-measure DP."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ from lzlab.bitio import MalformedInput
 from lzlab.intervals import Column, Gadget, Interval
 from lzlab.deficiency import Supermartingale, selection_threshold
 from lzlab.ktmix import WEIGHT_BITS, mixture_weights
+from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
 
 F = Fraction
 
@@ -162,3 +163,141 @@ class ReferenceMixturePredictor:
         if shift > 0:
             self.w = [w << shift for w in self.w]
         self.t += 1
+
+
+class _RefF:
+    """Name-measure functionals of one node as reduced Fractions."""
+
+    __slots__ = ("occ", "pre", "suf", "exa", "top")
+
+    def __init__(self, occ=F(0), pre=None, suf=None, exa=None, top=F(0)):
+        self.occ = occ
+        self.pre = pre if pre is not None else {}
+        self.suf = suf if suf is not None else {}
+        self.exa = exa if exa is not None else {}
+        self.top = top
+
+
+def _ref_combine(A, B, m):
+    occ = A.occ + B.occ
+    for k, sv in A.suf.items():
+        pv = B.pre.get(k)
+        if pv is not None:
+            occ += sv * pv
+    pre = dict(A.pre)
+    for (a, c), ev in A.exa.items():
+        if c < m:
+            pv = B.pre.get(c)
+            if pv is not None:
+                pre[a] = pre.get(a, F(0)) + ev * pv
+    suf = dict(B.suf)
+    top = B.top
+    by_start = {}
+    for (c, b), ev in B.exa.items():
+        by_start.setdefault(c, []).append((b, ev))
+        sv = A.suf.get(c)
+        if sv is not None:
+            if b == m:
+                top += sv * ev
+            else:
+                suf[b] = suf.get(b, F(0)) + sv * ev
+    exa = {}
+    for (a, c), ev in A.exa.items():
+        for b, ev2 in by_start.get(c, ()):
+            exa[a, b] = exa.get((a, b), F(0)) + ev * ev2
+    return _RefF(occ, pre, suf, exa, top)
+
+
+def _ref_uniform(h, x):
+    m = len(x)
+    f = _RefF()
+    if h >= m:
+        f.occ = F(h - m + 1, 1 << m)
+        f.top = F(1, 1 << m)
+    for j in range(max(1, m - h), m):
+        f.pre[j] = F(1, 1 << (m - j))
+    for k in range(1, min(m - 1, h) + 1):
+        f.suf[k] = F(1, 1 << k)
+    if h < m:
+        for a in range(1, m - h + 1):
+            f.exa[a, a + h] = F(1, 1 << h)
+    return f
+
+
+def _ref_base(node, x):
+    m = len(x)
+    f = _RefF()
+    for col in node.gadget.columns:
+        g = col.width / node.width
+        name = col.name
+        ln = len(name)
+        pos = name.find(x)
+        while pos != -1:
+            f.occ += g
+            pos = name.find(x, pos + 1)
+        if ln >= m and name.endswith(x):
+            f.top += g
+        for j in range(max(1, m - ln), m):
+            if name.startswith(x[j:]):
+                f.pre[j] = f.pre.get(j, F(0)) + g
+        for k in range(1, min(m - 1, ln) + 1):
+            if name.endswith(x[:k]):
+                f.suf[k] = f.suf.get(k, F(0)) + g
+        if ln < m:
+            pos = x.find(name, 1)
+            while pos != -1 and pos + ln <= m:
+                key = (pos, pos + ln)
+                f.exa[key] = f.exa.get(key, F(0)) + g
+                pos = x.find(name, pos + 1)
+    return f
+
+
+def reference_name_measure(node, x, force_generic=False):
+    """(plain, restricted) name measure of x by the Fraction DP that
+    ``symbolic.name_measure`` must match exactly."""
+    if x == "":
+        return node.support, node.support
+    m = len(x)
+    cache = {}
+
+    def power(f, k):
+        result = None
+        while k:
+            if k & 1:
+                result = f if result is None else _ref_combine(result, f, m)
+            k >>= 1
+            if k:
+                f = _ref_combine(f, f, m)
+        return result
+
+    def functionals(n):
+        got = cache.get(id(n))
+        if got is not None:
+            return got
+        if n.uniform_height is not None and not force_generic:
+            f = _ref_uniform(n.uniform_height, x)
+        elif isinstance(n, BaseNode):
+            f = _ref_base(n, x)
+        elif isinstance(n, CutNode):
+            f = functionals(n.child)
+        elif isinstance(n, UnionNode):
+            f = _RefF()
+            for c in n.children:
+                u = c.width / n.width
+                g = functionals(c)
+                f.occ += g.occ * u
+                f.top += g.top * u
+                for acc, part in ((f.pre, g.pre), (f.suf, g.suf), (f.exa, g.exa)):
+                    for k, v in part.items():
+                        acc[k] = acc.get(k, F(0)) + v * u
+        elif isinstance(n, StackNode):
+            f = _ref_combine(functionals(n.lower), functionals(n.upper), m)
+        elif isinstance(n, MFoldNode):
+            f = power(functionals(n.child), n.m)
+        else:
+            raise TypeError(f"unknown node kind {n.kind}")
+        cache[id(n)] = f
+        return f
+
+    f = functionals(node)
+    return node.width * f.occ, node.width * (f.occ - f.top)

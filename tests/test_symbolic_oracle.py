@@ -1,17 +1,24 @@
-"""Random composition trees: the symbolic layer against the explicit one.
+"""The symbolic layer against its oracles.
 
-A strategy draws small trees of cut, union, stack and m-fold nodes over
-explicit base gadgets, the way construction stages compose them (a union of
-pieces, a cut copy, then an m-fold), and every symbolic query must equal the
-brute-force answer of ``intervals.py`` on the materialized gadget exactly.
+A strategy draws small random trees of cut, union, stack and m-fold nodes
+over explicit base gadgets, the way construction stages compose them (a
+union of pieces, a cut copy, then an m-fold), and every symbolic query must
+equal the brute-force answer of ``intervals.py`` on the materialized gadget
+exactly.  At the deficiency runner's default scale, where nothing can be
+materialized, the name-measure DP must equal the reference Fraction DP.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from family import reference_name_measure
+from lzlab._util import parse_rational, stream_seed
+from lzlab.construction import Construction, ConstructionParams, build_alpha
+from lzlab.experiments import DEFICIENCY_DEFAULTS, _spec_list
 from lzlab.intervals import (
     Column,
     Gadget,
@@ -20,6 +27,7 @@ from lzlab.intervals import (
     name_measure_explicit,
     well_distributedness_explicit,
 )
+from lzlab.sources import bernoulli
 from lzlab.symbolic import (
     InfeasibleExact,
     _wd_closed,
@@ -190,3 +198,49 @@ def test_wd_mfold_equals_explicit(drawn, M):
         pass
     if node.width * node.max_gamma * M * node.max_height < 1:
         assert _wd_closed(node, M) == want
+
+
+@pytest.fixture(scope="module")
+def deficiency_words():
+    """The default deficiency construction, and its alpha trace and fair-coin
+    control word as ``run_deficiency`` draws them."""
+    cfg = DEFICIENCY_DEFAULTS
+    construction = Construction(ConstructionParams(
+        r=parse_rational(cfg["r"]), h0=cfg["h0"], fold_schedule=tuple(cfg["fold_schedule"])))
+    alpha = build_alpha(construction, _spec_list(cfg), initial_length=cfg["initial_length"],
+                        seed=stream_seed(cfg["seed"], "deficiency-alpha")).bits
+    control = bernoulli(F(1, 2)).sample(stream_seed(cfg["seed"], "deficiency-control"), cfg["control_n"])
+    return construction, {"alpha": alpha, "control": control}
+
+
+def _estimate_node(construction, m):
+    """The stage ``Construction.prob_estimate`` queries for a word of length m."""
+    s = 0
+    while True:
+        phi = construction.stage(s).phi
+        if phi.min_height >= 8 * m and phi.min_height > m + 1:
+            return phi
+        s += 1
+
+
+@pytest.mark.parametrize("word,n", [
+    ("alpha", 768), ("alpha", 1024), ("alpha", 2048),
+    ("control", 750), ("control", 1000), ("control", 2500),
+])
+def test_name_measure_equals_reference_dp_default_scale(deficiency_words, word, n):
+    construction, words = deficiency_words
+    x = words[word][:n]
+    node = _estimate_node(construction, n)
+    plain, restricted = reference_name_measure(node, x)
+    assert name_measure(node, x) == plain
+    assert name_measure(node, x, restricted=True) == restricted
+    assert restricted > 0
+
+
+def test_generic_name_measure_equals_reference_dp_default_scale(deficiency_words):
+    construction, words = deficiency_words
+    x = words["control"][:750]
+    node = _estimate_node(construction, len(x))
+    plain, restricted = reference_name_measure(node, x, force_generic=True)
+    assert name_measure(node, x, force_generic=True) == plain
+    assert name_measure(node, x, restricted=True, force_generic=True) == restricted
