@@ -16,6 +16,12 @@ Name-measure DP: for a query word x of length m, each node carries
 under the column width distribution; concatenation (stack, m-fold) combines
 these by the crossing/tiling identities dictated by the product structure.
 Towers whose names are uniform over {0,1}**h short-circuit to closed forms.
+Every value is n / (Q * 2**e): an entry holds an integer n and a binary
+exponent e, and a node holds one odd denominator Q.  Products multiply
+numerators and add exponents, sums shift the term with the smaller
+exponent, and a union lifts each child to a common Q and moves the power of
+two of its width share into the exponents.  Once per node Q and the
+numerators are divided by their gcd; one Fraction is built at the root.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .intervals import (
     Gadget,
     GadgetError,
     UnrelatedGadgets,
+    count_occurrences,
     cut_into_copies,
     mfold_explicit,
     stack_gadgets,
@@ -88,10 +95,6 @@ class SymbolicGadget:
         raise NotImplementedError
 
 
-def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.getrandbits(64), 1 << 64)
-
-
 class BaseNode(SymbolicGadget):
     kind = "base"
 
@@ -139,7 +142,7 @@ class BaseNode(SymbolicGadget):
         return self.gadget
 
     def sample_column(self, rng) -> str:
-        u = _rand_fraction(rng) * self.width
+        u = Fraction(rng.getrandbits(64), 1 << 64) * self.width
         acc = Fraction(0)
         for c in self.gadget.columns:
             acc += c.width
@@ -230,7 +233,7 @@ class UnionNode(SymbolicGadget):
         return union_gadgets(*(c.to_explicit() for c in self.children))
 
     def sample_column(self, rng) -> str:
-        u = _rand_fraction(rng) * self.width
+        u = Fraction(rng.getrandbits(64), 1 << 64) * self.width
         acc = Fraction(0)
         for c in self.children:
             acc += c.width
@@ -378,49 +381,82 @@ def union(*nodes: SymbolicGadget) -> UnionNode:
 
 
 class _F:
-    __slots__ = ("occ", "pre", "suf", "exa", "top")
+    """A node's functionals: entries (n, e) worth n / (q * 2**e)."""
 
-    def __init__(self, occ=Fraction(0), pre=None, suf=None, exa=None, top=Fraction(0)):
-        self.occ = occ
-        self.pre = pre if pre is not None else {}
-        self.suf = suf if suf is not None else {}
-        self.exa = exa if exa is not None else {}
-        self.top = top
+    __slots__ = ("q", "occ", "pre", "suf", "exa", "top")
+
+    def __init__(self, q=1, occ=(0, 0), pre=None, suf=None, exa=None, top=(0, 0)):
+        self.q, self.occ, self.top = q, occ, top
+        self.pre, self.suf, self.exa = pre or {}, suf or {}, exa or {}
+
+
+def _add(s, t):
+    """Sum of two entries over one q: the one with the smaller exponent shifts."""
+    d = s[1] - t[1]
+    if d >= 0:
+        return (s[0] + (t[0] << d), s[1])
+    return ((s[0] << -d) + t[0], t[1])
+
+
+def _reduce(f: _F) -> _F:
+    """Divide q and every numerator by their gcd, and move each numerator's
+    factors of two into its exponent."""
+    ends = {0: f.occ, 1: f.top}
+    tables = (ends, f.pre, f.suf, f.exa)
+    g = math.gcd(f.q, *(n for t in tables for n, _ in t.values())) if f.q > 1 else 1
+    f.q //= g
+    for t in tables:
+        for k, (n, e) in t.items():
+            z = 0 if n & 1 or not n else (n & -n).bit_length() - 1
+            if z or g > 1:
+                t[k] = (n // g >> z, e - z)
+    f.occ, f.top = ends[0], ends[1]
+    return f
 
 
 def _combine(A: _F, B: _F, m: int) -> _F:
-    """Functionals of the concatenation (A below, B above, independent)."""
-    occ = A.occ + B.occ
-    for k, sv in A.suf.items():
+    """Functionals of the concatenation (A below, B above, independent),
+    over q = A.q * B.q: products multiply numerators and add exponents, and
+    a term of one side alone is lifted by the other side's q."""
+    qa, qb = A.q, B.q
+    occ = _add((A.occ[0] * qb, A.occ[1]), (B.occ[0] * qa, B.occ[1]))
+    for k, (n, e) in A.suf.items():
         pv = B.pre.get(k)
         if pv is not None:
-            occ += sv * pv
-    pre = dict(A.pre)
-    for (a, c), ev in A.exa.items():
-        if c < m:
-            pv = B.pre.get(c)
-            if pv is not None:
-                pre[a] = pre.get(a, Fraction(0)) + ev * pv
-    suf = dict(B.suf)
-    top = B.top
-    by_start: dict[int, list[tuple[int, Fraction]]] = {}
-    for (c, b), ev in B.exa.items():
-        by_start.setdefault(c, []).append((b, ev))
+            occ = _add(occ, (n * pv[0], e + pv[1]))
+    pre = {j: (n * qb, e) for j, (n, e) in A.pre.items()}
+    for (a, c), (n, e) in A.exa.items():
+        pv = B.pre.get(c) if c < m else None
+        if pv is not None:
+            pre[a] = _add(pre.get(a, (0, 0)), (n * pv[0], e + pv[1]))
+    suf = {k: (n * qa, e) for k, (n, e) in B.suf.items()}
+    top = (B.top[0] * qa, B.top[1])
+    by_start: dict[int, list] = {}
+    for (c, b), (n, e) in B.exa.items():
+        by_start.setdefault(c, []).append((b, n, e))
         sv = A.suf.get(c)
         if sv is not None:
+            t = (sv[0] * n, sv[1] + e)
             if b == m:
-                top += sv * ev
+                top = _add(top, t)
             else:
-                suf[b] = suf.get(b, Fraction(0)) + sv * ev
-    exa: dict[tuple[int, int], Fraction] = {}
-    for (a, c), ev in A.exa.items():
-        hits = by_start.get(c)
-        if hits:
-            for b, ev2 in hits:
-                key = (a, b)
-                prev = exa.get(key)
-                exa[key] = ev * ev2 if prev is None else prev + ev * ev2
-    return _F(occ, pre, suf, exa, top)
+                suf[b] = _add(suf.get(b, (0, 0)), t)
+    exa: dict[tuple[int, int], tuple[int, int]] = {}
+    for (a, c), (n, e) in A.exa.items():
+        for b, n2, e2 in by_start.get(c, ()):
+            exa[a, b] = _add(exa.get((a, b), (0, 0)), (n * n2, e + e2))
+    return _reduce(_F(qa * qb, occ, pre, suf, exa, top))
+
+
+def _power(f: _F, k: int, m: int) -> _F:
+    result = None
+    while k:
+        if k & 1:
+            result = f if result is None else _combine(result, f, m)
+        k >>= 1
+        if k:
+            f = _combine(f, f, m)
+    return result
 
 
 def _uniform_functionals(h: int, x: str) -> _F:
@@ -428,128 +464,89 @@ def _uniform_functionals(h: int, x: str) -> _F:
     m = len(x)
     f = _F()
     if h >= m:
-        f.occ = Fraction(h - m + 1, 1 << m)
-        f.top = Fraction(1, 1 << m)
-    for j in range(max(1, m - h), m):
-        f.pre[j] = Fraction(1, 1 << (m - j))
-    for k in range(1, min(m - 1, h) + 1):
-        f.suf[k] = Fraction(1, 1 << k)
-    if h < m:
-        v = Fraction(1, 1 << h)
-        for a in range(1, m - h + 1):
-            f.exa[(a, a + h)] = v
+        f.occ, f.top = (h - m + 1, m), (1, m)
+    f.pre = {j: (1, m - j) for j in range(max(1, m - h), m)}
+    f.suf = {k: (1, k) for k in range(1, min(m - 1, h) + 1)}
+    f.exa = {(a, a + h): (1, h) for a in range(1, m - h + 1)}
     return f
 
 
-def _scale_f(f: _F, u: Fraction) -> _F:
-    return _F(
-        f.occ * u,
-        {k: v * u for k, v in f.pre.items()},
-        {k: v * u for k, v in f.suf.items()},
-        {k: v * u for k, v in f.exa.items()},
-        f.top * u,
-    )
-
-
-def _add_into(acc: _F, f: _F) -> None:
-    acc.occ += f.occ
-    acc.top += f.top
-    for d_acc, d_f in ((acc.pre, f.pre), (acc.suf, f.suf), (acc.exa, f.exa)):
-        for k, v in d_f.items():
-            prev = d_acc.get(k)
-            d_acc[k] = v if prev is None else prev + v
+def _union_functionals(parts) -> _F:
+    """Sum of child functionals f weighted by width shares u: with u =
+    p / (q' * 2**k) and q' odd, a child's entries are lifted to the lcm of
+    every child's q * q' and k is added to their exponents."""
+    split = []
+    for f, u in parts:
+        den = u.denominator
+        k = (den & -den).bit_length() - 1
+        split.append((f, u.numerator, f.q * (den >> k), k))
+    acc = _F(math.lcm(*(s[2] for s in split)))
+    for f, p, q, k in split:
+        lift = p * (acc.q // q)
+        acc.occ = _add(acc.occ, (f.occ[0] * lift, f.occ[1] + k))
+        acc.top = _add(acc.top, (f.top[0] * lift, f.top[1] + k))
+        for d_acc, d_f in ((acc.pre, f.pre), (acc.suf, f.suf), (acc.exa, f.exa)):
+            for key, (n, e) in d_f.items():
+                d_acc[key] = _add(d_acc.get(key, (0, 0)), (n * lift, e + k))
+    return _reduce(acc)
 
 
 def _base_functionals(node: BaseNode, x: str) -> _F:
+    """A base gadget as the union of its columns, each one name."""
     m = len(x)
-    f = _F()
-    W = node.width
+    parts = []
     for col in node.gadget.columns:
-        g = col.width / W
         name = col.name
         ln = len(name)
-        # internal occurrences
-        cnt = 0
-        pos = name.find(x)
-        while pos != -1:
-            cnt += 1
-            pos = name.find(x, pos + 1)
-        if cnt:
-            f.occ += g * cnt
-        if ln >= m and name.endswith(x):
-            f.top += g
-        for j in range(max(1, m - ln), m):
-            if name.startswith(x[j:]):
-                f.pre[j] = f.pre.get(j, Fraction(0)) + g
-        for k in range(1, min(m - 1, ln) + 1):
-            if name.endswith(x[:k]):
-                f.suf[k] = f.suf.get(k, Fraction(0)) + g
-        if ln < m:
-            pos = x.find(name, 1)
-            while pos != -1 and pos + ln <= m:
-                key = (pos, pos + ln)
-                f.exa[key] = f.exa.get(key, Fraction(0)) + g
-                pos = x.find(name, pos + 1)
-    return f
-
-
-class NameQuery:
-    """Caches per-node functionals for one query word."""
-
-    def __init__(self, x: str, force_generic: bool = False):
-        self.x = x
-        self.m = len(x)
-        self.force_generic = force_generic
-        self._cache: dict[int, _F] = {}
-
-    def functionals(self, node: SymbolicGadget) -> _F:
-        got = self._cache.get(id(node))
-        if got is not None:
-            return got
-        if node.uniform_height is not None and not self.force_generic:
-            f = _uniform_functionals(node.uniform_height, self.x)
-        elif isinstance(node, BaseNode):
-            f = _base_functionals(node, self.x)
-        elif isinstance(node, CutNode):
-            f = self.functionals(node.child)
-        elif isinstance(node, UnionNode):
-            f = _F()
-            for c in node.children:
-                _add_into(f, _scale_f(self.functionals(c), c.width / node.width))
-        elif isinstance(node, StackNode):
-            f = _combine(self.functionals(node.lower), self.functionals(node.upper), self.m)
-        elif isinstance(node, MFoldNode):
-            f = self._power(self.functionals(node.child), node.m)
-        else:
-            raise GadgetError(f"unknown node kind {node.kind}")
-        self._cache[id(node)] = f
-        return f
-
-    def _power(self, f: _F, m: int) -> _F:
-        result = None
-        acc = f
-        while m:
-            if m & 1:
-                result = acc if result is None else _combine(result, acc, self.m)
-            m >>= 1
-            if m:
-                acc = _combine(acc, acc, self.m)
-        return result
+        f = _F(occ=(count_occurrences(name, x), 0), top=(int(ln >= m and name.endswith(x)), 0))
+        f.pre = {j: (1, 0) for j in range(max(1, m - ln), m) if name.startswith(x[j:])}
+        f.suf = {k: (1, 0) for k in range(1, min(m - 1, ln) + 1) if name.endswith(x[:k])}
+        pos = x.find(name, 1) if ln < m else -1
+        while pos != -1 and pos + ln <= m:
+            f.exa[pos, pos + ln] = (1, 0)
+            pos = x.find(name, pos + 1)
+        parts.append((f, col.width / node.width))
+    return _union_functionals(parts)
 
 
 def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
-                 query: NameQuery | None = None, force_generic: bool = False) -> Fraction:
+                 force_generic: bool = False) -> Fraction:
     """Total width of levels starting a trajectory whose name extends x.
 
     ``restricted`` drops starts whose occurrence ends exactly at a column
-    top (starts at least len(x) below the top).
+    top (starts at least len(x) below the top).  ``force_generic`` skips
+    the closed form of uniform towers.
     """
     if x == "":
         return node.support
-    q = query if query is not None else NameQuery(x, force_generic=force_generic)
-    f = q.functionals(node)
-    mass = f.occ - f.top if restricted else f.occ
-    return node.width * mass
+    m = len(x)
+    cache: dict[int, _F] = {}  # per-node functionals for this word
+
+    def functionals(nd: SymbolicGadget) -> _F:
+        f = cache.get(id(nd))
+        if f is not None:
+            return f
+        if nd.uniform_height is not None and not force_generic:
+            f = _uniform_functionals(nd.uniform_height, x)
+        elif isinstance(nd, BaseNode):
+            f = _base_functionals(nd, x)
+        elif isinstance(nd, CutNode):
+            f = functionals(nd.child)
+        elif isinstance(nd, UnionNode):
+            f = _union_functionals([(functionals(c), c.width / nd.width) for c in nd.children])
+        elif isinstance(nd, StackNode):
+            f = _combine(functionals(nd.lower), functionals(nd.upper), m)
+        elif isinstance(nd, MFoldNode):
+            f = _power(functionals(nd.child), nd.m, m)
+        else:
+            raise GadgetError(f"unknown node kind {nd.kind}")
+        cache[id(nd)] = f
+        return f
+
+    f = functionals(node)
+    n, e = _add(f.occ, (-f.top[0], f.top[1])) if restricted else f.occ
+    num, den = n * node.width.numerator, f.q * node.width.denominator
+    return Fraction(num, den << e) if e >= 0 else Fraction(num << -e, den)
 
 
 # ---------------------------------------------------------------------------
