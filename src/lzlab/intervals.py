@@ -8,6 +8,7 @@ MAX_EXPLICIT_COLUMNS columns; large constructions live in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -315,18 +316,23 @@ def _column_maps(g: Gadget):
 
 def transformation_extends(small: Gadget, big: Gadget) -> bool:
     """True when big's level-to-level map agrees with small's wherever the
-    latter is defined, and covers all of it."""
-    big_maps = list(_column_maps(big))
+    latter is defined, and covers all of it.
+
+    Big's domains are disjoint, so sorted by left end they are sorted by
+    right end too: each domain of small bisects to the first domain of big
+    that ends after its left end and sweeps those that start before its
+    right end."""
+    big_maps = sorted(_column_maps(big), key=lambda t: t[0].left)
+    rights = [bdom.right for bdom, _ in big_maps]
     for dom, shift in _column_maps(small):
         covered = Fraction(0)
-        for bdom, bshift in big_maps:
-            lo = max(dom.left, bdom.left)
-            hi = min(dom.right, bdom.right)
-            if lo >= hi:
-                continue
+        i = bisect_right(rights, dom.left)
+        while i < len(big_maps) and big_maps[i][0].left < dom.right:
+            bdom, bshift = big_maps[i]
             if bshift != shift:
                 return False
-            covered += hi - lo
+            covered += min(dom.right, bdom.right) - max(dom.left, bdom.left)
+            i += 1
         if covered != dom.width:
             return False
     return True

@@ -1,12 +1,13 @@
 """Shared randomized-instance builders for the oracle-equivalence and
-selection-procedure suites, a verbatim test-double coder, the reference
-mixture predictor and the reference name-measure DP."""
+selection-procedure suites, a verbatim test-double coder, and reference
+versions of the mixture predictor, the name-measure DP and
+``transformation_extends``."""
 
 from fractions import Fraction
 
 from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput
-from lzlab.intervals import Column, Gadget, Interval
+from lzlab.intervals import Column, Gadget, Interval, _column_maps
 from lzlab.deficiency import Supermartingale, selection_threshold
 from lzlab.ktmix import WEIGHT_BITS, mixture_weights
 from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
@@ -301,3 +302,22 @@ def reference_name_measure(node, x, force_generic=False):
 
     f = functionals(node)
     return node.width * f.occ, node.width * (f.occ - f.top)
+
+
+def transformation_extends_pairwise(small, big):
+    """``transformation_extends`` as first written: every domain of small
+    against every domain of big."""
+    big_maps = list(_column_maps(big))
+    for dom, shift in _column_maps(small):
+        covered = F(0)
+        for bdom, bshift in big_maps:
+            lo = max(dom.left, bdom.left)
+            hi = min(dom.right, bdom.right)
+            if lo >= hi:
+                continue
+            if bshift != shift:
+                return False
+            covered += hi - lo
+        if covered != dom.width:
+            return False
+    return True

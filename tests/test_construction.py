@@ -16,8 +16,10 @@ from lzlab.construction import (
     sample_sparse_column,
     stage_height,
 )
-from lzlab.intervals import completeness_check
+from lzlab.intervals import Gadget, completeness_check, transformation_extends
 from lzlab.symbolic import name_measure
+
+from family import transformation_extends_pairwise
 
 F = Fraction
 
@@ -129,13 +131,20 @@ def test_wd_recorded_every_stage_and_faithful_enforced():
     assert st1.pi.min_height >= 2 * heights_schedule(lambda n: n, F(1, 128), 3)[3]
 
 
-def test_completeness_of_early_stages_explicit():
+@pytest.fixture(scope="module")
+def early_stage_gadgets():
+    """pi_0, then the fold base and pi of stages 1 and 2, materialized."""
     c = tiny_construction(stages=2)
     seq = [c.stage(0).pi.to_explicit()]
     # the extension chain is pi_{s-1} ∪ delta'' -> its fold
     for s in (1, 2):
         seq.append(c.stage(s).fold_base.to_explicit())
         seq.append(c.stage(s).pi.to_explicit())
+    return seq
+
+
+def test_completeness_of_early_stages_explicit(early_stage_gadgets):
+    seq = early_stage_gadgets
     report = completeness_check([seq[0], seq[2], seq[4]])
     # widths decrease and supports grow along the pi chain
     assert report.widths[0] > report.widths[1] > report.widths[2]
@@ -145,6 +154,24 @@ def test_completeness_of_early_stages_explicit():
     assert not any("transformation" in v for v in inner.violations), inner.violations
     inner = completeness_check([seq[3], seq[4]])
     assert not any("transformation" in v for v in inner.violations), inner.violations
+
+
+def test_transformation_extends_matches_pairwise(early_stage_gadgets):
+    seq = early_stage_gadgets
+    for a, b in ((0, 2), (1, 2), (2, 4), (3, 4)):
+        small, big = seq[a], seq[b]
+        if b == 4:
+            # the pairwise reference is O(levels^2): against stage 2's
+            # 23,920 domains, check two columns of the smaller gadget
+            small = Gadget([small.columns[0], small.columns[-1]])
+        assert transformation_extends(small, big) is True
+        assert transformation_extends_pairwise(small, big) is True
+    # failing pairs: a fold does not extend back, and a fold missing one
+    # column leaves part of its base uncovered
+    partial = Gadget(seq[2].columns[1:])
+    for small, big in ((seq[2], seq[1]), (seq[1], partial)):
+        assert transformation_extends(small, big) is False
+        assert transformation_extends_pairwise(small, big) is False
 
 
 def test_measure_query_examples():
