@@ -78,9 +78,19 @@ class MarkovSource:
             raise ValueError("stationary solve failed")
         return pi
 
-    def _step(self, ctx: str, sym: str) -> Fraction:
-        p1 = self.p_one[ctx]
-        return p1 if sym == "1" else 1 - p1
+    def _transitions(self, x: str) -> list[tuple[Fraction, int]]:
+        """(step probability, count) of every transition x makes after its
+        first k symbols, counted in one walk."""
+        k = self.order
+        counts = [0] * (2 << k)
+        mask = (1 << k) - 1
+        state = int(x[:k], 2) if k else 0
+        for sym in x[k:]:
+            state = (state << 1) | (sym == "1")  # context and symbol
+            counts[state] += 1
+            state &= mask
+        p_one = [self.p_one[ctx] for ctx in self.contexts]
+        return [(p_one[i >> 1] if i & 1 else 1 - p_one[i >> 1], n) for i, n in enumerate(counts) if n]
 
     def prob(self, x: str) -> Fraction:
         """Exact stationary probability of the word x."""
@@ -91,31 +101,17 @@ class MarkovSource:
                 F(0),
             )
         total = self.stationary[x[:k]]
-        ctx = x[:k]
-        for sym in x[k:]:
-            total *= self._step(ctx, sym)
-            ctx = (ctx + sym)[1:] if k else ""
+        for p, n in self._transitions(x):
+            total *= p**n
         return total
 
     def query(self, x: str, eps: Fraction = F(0)) -> Fraction:
         return self.prob(x)
 
     def log2_prob(self, x: str) -> float:
-        """log2 P(x) via incremental integer numerator/denominator."""
-        k = self.order
-        if len(x) < k:
-            return log2_fraction(self.prob(x))
-        head = self.stationary[x[:k]]
-        num, den = head.numerator, head.denominator
-        ctx = x[:k]
-        for sym in x[k:]:
-            p = self._step(ctx, sym)
-            num *= p.numerator
-            den *= p.denominator
-            ctx = (ctx + sym)[1:] if k else ""
-            if num == 0:
-                return -math.inf
-        return log2_fraction(F(num, den))
+        """log2 P(x); -inf when P(x) = 0."""
+        p = self.prob(x)
+        return log2_fraction(p) if p else -math.inf
 
     def entropy_rate(self) -> float:
         """Sum over contexts of pi(ctx) h(row)."""

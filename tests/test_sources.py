@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lzlab._util import binary_entropy
+from lzlab._util import binary_entropy, log2_fraction
 from lzlab.sources import MarkovSource, bernoulli, bernoulli_prob, flip_chain, robustness_experiment
 
 F = Fraction
@@ -104,6 +104,52 @@ def test_sample_matches_fraction_reference(src):
     for seed in (1, 2, 3):
         for n in (0, 1, 2, 5000):
             assert src.sample(seed, n) == _reference_sample(src, seed, n)
+
+
+def _reference_prob(src: MarkovSource, x: str) -> Fraction:
+    """The stationary word probability as first written: one Fraction
+    product per symbol."""
+    k = src.order
+    if len(x) < k:
+        return sum((p for ctx, p in src.stationary.items() if ctx.startswith(x)), F(0))
+    total = src.stationary[x[:k]]
+    ctx = x[:k]
+    for sym in x[k:]:
+        total *= src.p_one[ctx] if sym == "1" else 1 - src.p_one[ctx]
+        ctx = (ctx + sym)[1:] if k else ""
+    return total
+
+
+def _reference_log2_prob(src: MarkovSource, x: str) -> float:
+    """log2 P(x) as first written: one integer product per symbol."""
+    k = src.order
+    head = src.stationary[x[:k]]
+    num, den = head.numerator, head.denominator
+    ctx = x[:k]
+    for sym in x[k:]:
+        p = src.p_one[ctx] if sym == "1" else 1 - src.p_one[ctx]
+        num *= p.numerator
+        den *= p.denominator
+        ctx = (ctx + sym)[1:] if k else ""
+        if num == 0:
+            return -math.inf
+    return log2_fraction(F(num, den))
+
+
+def test_prob_matches_reference_walk():
+    """One transition-count walk gives the per-symbol products exactly."""
+    rng = random.Random(3)
+    order2 = MarkovSource(2, {"00": F(1, 5), "01": F(1, 2), "10": F(2, 3), "11": F(1, 7)})
+    for src in (bernoulli(F(1, 3)), bernoulli(F(0)), flip_chain(F(1, 10)), order2):
+        for _ in range(200):
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(0, 12)))
+            assert src.prob(x) == _reference_prob(src, x)
+            if len(x) >= src.order:
+                assert src.log2_prob(x) == _reference_log2_prob(src, x)
+    src = flip_chain(F(1, 10))
+    x = src.sample(21, 1 << 15)
+    assert src.prob(x) == _reference_prob(src, x)
+    assert src.log2_prob(x) == _reference_log2_prob(src, x)
 
 
 def test_log_prob_consistency_lln():
