@@ -316,12 +316,9 @@ def _column_maps(g: Gadget):
 
 def transformation_extends(small: Gadget, big: Gadget) -> bool:
     """True when big's level-to-level map agrees with small's wherever the
-    latter is defined, and covers all of it.
-
-    Big's domains are disjoint, so sorted by left end they are sorted by
-    right end too: each domain of small bisects to the first domain of big
-    that ends after its left end and sweeps those that start before its
-    right end."""
+    latter is defined, and covers all of it.  Big's domains are disjoint, so
+    sorted by left end they are sorted by right end too: each domain of
+    small bisects to its first overlap and sweeps the overlaps after it."""
     big_maps = sorted(_column_maps(big), key=lambda t: t[0].left)
     rights = [bdom.right for bdom, _ in big_maps]
     for dom, shift in _column_maps(small):

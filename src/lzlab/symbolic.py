@@ -95,6 +95,10 @@ class SymbolicGadget:
         raise NotImplementedError
 
 
+def _rand_fraction(rng) -> Fraction:
+    return Fraction(rng.getrandbits(64), 1 << 64)
+
+
 class BaseNode(SymbolicGadget):
     kind = "base"
 
@@ -142,7 +146,7 @@ class BaseNode(SymbolicGadget):
         return self.gadget
 
     def sample_column(self, rng) -> str:
-        u = Fraction(rng.getrandbits(64), 1 << 64) * self.width
+        u = _rand_fraction(rng) * self.width
         acc = Fraction(0)
         for c in self.gadget.columns:
             acc += c.width
@@ -233,7 +237,7 @@ class UnionNode(SymbolicGadget):
         return union_gadgets(*(c.to_explicit() for c in self.children))
 
     def sample_column(self, rng) -> str:
-        u = Fraction(rng.getrandbits(64), 1 << 64) * self.width
+        u = _rand_fraction(rng) * self.width
         acc = Fraction(0)
         for c in self.children:
             acc += c.width
@@ -381,9 +385,7 @@ def union(*nodes: SymbolicGadget) -> UnionNode:
 
 
 class _F:
-    """A node's functionals: entries (n, e) worth n / (q * 2**e)."""
-
-    __slots__ = ("q", "occ", "pre", "suf", "exa", "top")
+    __slots__ = ("q", "occ", "pre", "suf", "exa", "top")  # entries (n, e) are n / (q * 2**e)
 
     def __init__(self, q=1, occ=(0, 0), pre=None, suf=None, exa=None, top=(0, 0)):
         self.q, self.occ, self.top = q, occ, top
@@ -416,8 +418,7 @@ def _reduce(f: _F) -> _F:
 
 def _combine(A: _F, B: _F, m: int) -> _F:
     """Functionals of the concatenation (A below, B above, independent),
-    over q = A.q * B.q: products multiply numerators and add exponents, and
-    a term of one side alone is lifted by the other side's q."""
+    over q = A.q * B.q; a term of one side alone is lifted by the other q."""
     qa, qb = A.q, B.q
     occ = _add((A.occ[0] * qb, A.occ[1]), (B.occ[0] * qa, B.occ[1]))
     for k, (n, e) in A.suf.items():
@@ -462,19 +463,15 @@ def _power(f: _F, k: int, m: int) -> _F:
 def _uniform_functionals(h: int, x: str) -> _F:
     """Closed forms for a tower whose names are uniform over {0,1}**h."""
     m = len(x)
-    f = _F()
-    if h >= m:
-        f.occ, f.top = (h - m + 1, m), (1, m)
-    f.pre = {j: (1, m - j) for j in range(max(1, m - h), m)}
-    f.suf = {k: (1, k) for k in range(1, min(m - 1, h) + 1)}
-    f.exa = {(a, a + h): (1, h) for a in range(1, m - h + 1)}
-    return f
+    occ, top = ((h - m + 1, m), (1, m)) if h >= m else ((0, 0), (0, 0))
+    pre = {j: (1, m - j) for j in range(max(1, m - h), m)}
+    suf = {k: (1, k) for k in range(1, min(m - 1, h) + 1)}
+    return _F(1, occ, pre, suf, {(a, a + h): (1, h) for a in range(1, m - h + 1)}, top)
 
 
 def _union_functionals(parts) -> _F:
-    """Sum of child functionals f weighted by width shares u: with u =
-    p / (q' * 2**k) and q' odd, a child's entries are lifted to the lcm of
-    every child's q * q' and k is added to their exponents."""
+    """Sum of child functionals f weighted by width shares u = p / (q' * 2**k),
+    q' odd, over the lcm of every child's q * q'."""
     split = []
     for f, u in parts:
         den = u.denominator
@@ -496,8 +493,7 @@ def _base_functionals(node: BaseNode, x: str) -> _F:
     m = len(x)
     parts = []
     for col in node.gadget.columns:
-        name = col.name
-        ln = len(name)
+        name, ln = col.name, len(col.name)
         f = _F(occ=(count_occurrences(name, x), 0), top=(int(ln >= m and name.endswith(x)), 0))
         f.pre = {j: (1, 0) for j in range(max(1, m - ln), m) if name.startswith(x[j:])}
         f.suf = {k: (1, 0) for k in range(1, min(m - 1, ln) + 1) if name.endswith(x[:k])}
@@ -507,6 +503,36 @@ def _base_functionals(node: BaseNode, x: str) -> _F:
             pos = x.find(name, pos + 1)
         parts.append((f, col.width / node.width))
     return _union_functionals(parts)
+
+
+class _NameQuery:
+    """Caches per-node functionals for one query word."""
+
+    def __init__(self, x: str, force_generic: bool):
+        self.x, self.force_generic = x, force_generic
+        self._cache: dict[int, _F] = {}
+
+    def functionals(self, node: SymbolicGadget) -> _F:
+        f = self._cache.get(id(node))
+        if f is not None:
+            return f
+        x, m = self.x, len(self.x)
+        if node.uniform_height is not None and not self.force_generic:
+            f = _uniform_functionals(node.uniform_height, x)
+        elif isinstance(node, BaseNode):
+            f = _base_functionals(node, x)
+        elif isinstance(node, CutNode):
+            f = self.functionals(node.child)
+        elif isinstance(node, UnionNode):
+            f = _union_functionals([(self.functionals(c), c.width / node.width) for c in node.children])
+        elif isinstance(node, StackNode):
+            f = _combine(self.functionals(node.lower), self.functionals(node.upper), m)
+        elif isinstance(node, MFoldNode):
+            f = _power(self.functionals(node.child), node.m, m)
+        else:
+            raise GadgetError(f"unknown node kind {node.kind}")
+        self._cache[id(node)] = f
+        return f
 
 
 def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
@@ -519,31 +545,7 @@ def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
     """
     if x == "":
         return node.support
-    m = len(x)
-    cache: dict[int, _F] = {}  # per-node functionals for this word
-
-    def functionals(nd: SymbolicGadget) -> _F:
-        f = cache.get(id(nd))
-        if f is not None:
-            return f
-        if nd.uniform_height is not None and not force_generic:
-            f = _uniform_functionals(nd.uniform_height, x)
-        elif isinstance(nd, BaseNode):
-            f = _base_functionals(nd, x)
-        elif isinstance(nd, CutNode):
-            f = functionals(nd.child)
-        elif isinstance(nd, UnionNode):
-            f = _union_functionals([(functionals(c), c.width / nd.width) for c in nd.children])
-        elif isinstance(nd, StackNode):
-            f = _combine(functionals(nd.lower), functionals(nd.upper), m)
-        elif isinstance(nd, MFoldNode):
-            f = _power(functionals(nd.child), nd.m, m)
-        else:
-            raise GadgetError(f"unknown node kind {nd.kind}")
-        cache[id(nd)] = f
-        return f
-
-    f = functionals(node)
+    f = _NameQuery(x, force_generic).functionals(node)
     n, e = _add(f.occ, (-f.top[0], f.top[1])) if restricted else f.occ
     num, den = n * node.width.numerator, f.q * node.width.denominator
     return Fraction(num, den << e) if e >= 0 else Fraction(num << -e, den)
