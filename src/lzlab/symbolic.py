@@ -506,33 +506,32 @@ def _base_functionals(node: BaseNode, x: str) -> _F:
 
 
 class _NameQuery:
-    """Caches per-node functionals for one query word."""
+    """Functionals for one query word.  Only a cut node's child keeps its
+    tables, since every copy cut from it shares them; any other node's go
+    as soon as its parent has combined them."""
 
     def __init__(self, x: str, force_generic: bool):
         self.x, self.force_generic = x, force_generic
-        self._cache: dict[int, _F] = {}
+        self._cut_children: dict[int, _F] = {}
 
     def functionals(self, node: SymbolicGadget) -> _F:
-        f = self._cache.get(id(node))
-        if f is not None:
-            return f
         x, m = self.x, len(self.x)
         if node.uniform_height is not None and not self.force_generic:
-            f = _uniform_functionals(node.uniform_height, x)
-        elif isinstance(node, BaseNode):
-            f = _base_functionals(node, x)
-        elif isinstance(node, CutNode):
-            f = self.functionals(node.child)
-        elif isinstance(node, UnionNode):
-            f = _union_functionals([(self.functionals(c), c.width / node.width) for c in node.children])
-        elif isinstance(node, StackNode):
-            f = _combine(self.functionals(node.lower), self.functionals(node.upper), m)
-        elif isinstance(node, MFoldNode):
-            f = _power(self.functionals(node.child), node.m, m)
-        else:
-            raise GadgetError(f"unknown node kind {node.kind}")
-        self._cache[id(node)] = f
-        return f
+            return _uniform_functionals(node.uniform_height, x)
+        if isinstance(node, BaseNode):
+            return _base_functionals(node, x)
+        if isinstance(node, CutNode):
+            f = self._cut_children.get(id(node.child))
+            if f is None:
+                f = self._cut_children[id(node.child)] = self.functionals(node.child)
+            return f
+        if isinstance(node, UnionNode):
+            return _union_functionals([(self.functionals(c), c.width / node.width) for c in node.children])
+        if isinstance(node, StackNode):
+            return _combine(self.functionals(node.lower), self.functionals(node.upper), m)
+        if isinstance(node, MFoldNode):
+            return _power(self.functionals(node.child), node.m, m)
+        raise GadgetError(f"unknown node kind {node.kind}")
 
 
 def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
