@@ -1,8 +1,10 @@
 """Shared randomized-instance builders for the oracle-equivalence and
 selection-procedure suites, a verbatim test-double coder, and reference
-versions of the mixture predictor, the name-measure DP and
+versions of the mixture predictor, the name-measure DP, the
+well-distributedness moments, column sampling and
 ``transformation_extends``."""
 
+import math
 from fractions import Fraction
 
 from lzlab.arith import PROB_BITS
@@ -321,3 +323,128 @@ def transformation_extends_pairwise(small, big):
         if covered != dom.width:
             return False
     return True
+
+
+def _ref_stack_moments(a, b):
+    return (
+        a[0] * b[0],
+        a[1] * b[0] + a[0] * b[1],
+        a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
+    )
+
+
+def reference_moments(node, p, cache=None):
+    """T(p, q) = sum_D gamma_D^p h_D^q for q = 0, 1, 2 by the Fraction
+    recursion that ``SymbolicGadget.moments`` must match exactly.  ``cache``
+    (a dict) shares results between calls on one tree."""
+    if cache is None:
+        cache = {}
+    got = cache.get((id(node), p))
+    if got is not None:
+        return got
+    if isinstance(node, BaseNode):
+        t0 = t1 = t2 = F(0)
+        for c in node.gadget.columns:
+            gp = (c.width / node.width) ** p
+            t0 += gp
+            t1 += gp * c.height
+            t2 += gp * c.height**2
+        got = (t0, t1, t2)
+    elif isinstance(node, CutNode):
+        got = reference_moments(node.child, p, cache)
+    elif isinstance(node, UnionNode):
+        t0 = t1 = t2 = F(0)
+        for c in node.children:
+            u = (c.width / node.width) ** p
+            s0, s1, s2 = reference_moments(c, p, cache)
+            t0 += u * s0
+            t1 += u * s1
+            t2 += u * s2
+        got = (t0, t1, t2)
+    elif isinstance(node, StackNode):
+        got = _ref_stack_moments(reference_moments(node.lower, p, cache),
+                                 reference_moments(node.upper, p, cache))
+    elif isinstance(node, MFoldNode):
+        got = (F(1), F(0), F(0))
+        acc = reference_moments(node.child, p, cache)
+        m = node.m
+        while m:
+            if m & 1:
+                got = _ref_stack_moments(got, acc)
+            m >>= 1
+            if m:
+                acc = _ref_stack_moments(acc, acc)
+    else:
+        raise TypeError(f"unknown node kind {node.kind}")
+    cache[id(node), p] = got
+    return got
+
+
+def reference_wd_closed(node, M, cache=None):
+    """``symbolic._wd_closed`` on the reference moments."""
+    W = node.width
+    eta = reference_moments(node, 1, cache)[1]
+    lam = node.support
+    A = F(0)
+    B = F(0)
+    for j in range(M):
+        sign = -1 if j & 1 else 1
+        cmj = math.comb(M - 1, j)
+        A += sign * cmj * reference_moments(node, j + 1, cache)[1]
+        B += sign * cmj * reference_moments(node, j + 2, cache)[2]
+    return lam * (1 - lam) + 2 * W**2 * (eta * A - B)
+
+
+def reference_wd_enum(classes, W, M):
+    """``symbolic._wd_enum`` as first written: the expectation over class
+    count-vectors by a recursive closure."""
+    K = len(classes)
+    shares = [c[0] for c in classes]
+    heights = [c[1] for c in classes]
+    counts = [c[2] for c in classes]
+    compositions = []
+
+    def rec(idx, left, prob, vec):
+        if idx == K - 1:
+            compositions.append((tuple(vec + [left]), prob * shares[idx] ** left))
+            return
+        for take in range(left + 1):
+            rec(idx + 1, left - take, prob * shares[idx] ** take * math.comb(left, take), vec + [take])
+
+    rec(0, M, F(1), [])
+    total = F(0)
+    for k in range(K):
+        n_k = counts[k]
+        w_k = W * shares[k] / n_k
+        exp_abs = F(0)
+        for vec, p in compositions:
+            H = sum(c * h for c, h in zip(vec, heights))
+            q = F(1, n_k)
+            for c in range(vec[k] + 1):
+                pc = math.comb(vec[k], c) * q**c * (1 - q) ** (vec[k] - c)
+                exp_abs += p * pc * abs(c - w_k * H)
+        total += n_k * heights[k] * exp_abs
+    return total * W / M
+
+
+def reference_sample_column(node, rng):
+    """``SymbolicGadget.sample_column`` as first written: a base or union
+    node scales a 64-bit Fraction draw by its width and walks the
+    cumulative widths of its columns or children."""
+    if isinstance(node, (BaseNode, UnionNode)):
+        parts = node.gadget.columns if isinstance(node, BaseNode) else node.children
+        u = F(rng.getrandbits(64), 1 << 64) * node.width
+        acc = F(0)
+        for part in parts:
+            acc += part.width
+            if u < acc:
+                break
+        return part.name if isinstance(node, BaseNode) else reference_sample_column(part, rng)
+    if isinstance(node, CutNode):
+        return reference_sample_column(node.child, rng)
+    if isinstance(node, StackNode):
+        return reference_sample_column(node.lower, rng) + reference_sample_column(node.upper, rng)
+    if node.uniform_height is not None:
+        h = node.uniform_height
+        return format(rng.getrandbits(h), f"0{h}b") if h else ""
+    return "".join(reference_sample_column(node.child, rng) for _ in range(node.m))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -16,6 +17,9 @@ from lzlab.experiments import (
     run_robustness,
     run_universality,
 )
+
+# the ratio-curve file of test_ratio_curve_csv_schema, byte for byte
+RATIO_CURVE_CSV_SHA256 = "5657af3e7e3ae23b99b80ddff04a0aef8fce0e9cd282c9b893a3f40b89e20f03"
 
 
 def test_encode_decode_roundtrip_via_cli(tmp_path):
@@ -46,6 +50,11 @@ def test_ratio_curve_csv_schema(tmp_path):
     assert rows[0] == CSV_HEADER
     assert len(rows) == 5
     assert int(rows[1][0]) == 1024
+    # the csv module's text: comma-separated, CRLF-terminated, ratios to 8 places
+    data = out.read_bytes()
+    assert data == "".join(",".join(row) + "\r\n" for row in rows).encode()
+    assert all(len(row[2].split(".")[1]) == 8 for row in rows[1:])
+    assert hashlib.sha256(data).hexdigest() == RATIO_CURVE_CSV_SHA256
 
 
 def test_mixture_cli_csv(tmp_path):

@@ -5,9 +5,13 @@ over explicit base gadgets, the way construction stages compose them (a
 union of pieces, a cut copy, then an m-fold), and every symbolic query must
 equal the brute-force answer of ``intervals.py`` on the materialized gadget
 exactly.  At the deficiency runner's default scale, where nothing can be
-materialized, the name-measure DP must equal the reference Fraction DP.
+materialized, the name-measure DP must equal the reference Fraction DP, and
+at the stages the runners and the codec benchmark build, the moments,
+well-distributedness and column draws must equal their Fraction references.
 """
 
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -15,10 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from family import reference_name_measure
+from family import (
+    reference_moments,
+    reference_name_measure,
+    reference_sample_column,
+    reference_wd_closed,
+    reference_wd_enum,
+)
 from lzlab._util import parse_rational, stream_seed
 from lzlab.construction import Construction, ConstructionParams, build_alpha
-from lzlab.experiments import DEFICIENCY_DEFAULTS, _spec_list
+from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _spec_list
 from lzlab.intervals import (
     Column,
     Gadget,
@@ -29,6 +39,7 @@ from lzlab.intervals import (
 )
 from lzlab.sources import bernoulli
 from lzlab.symbolic import (
+    WD_ENUM_CAP,
     InfeasibleExact,
     _wd_closed,
     base_node,
@@ -175,7 +186,7 @@ def test_classes_and_moments_equal_explicit(drawn):
         got[share / n, h] += n
     assert got == _explicit_classes(explicit)
     w = explicit.width
-    for p in range(4):
+    for p in range(6):  # _wd_closed reads p <= M + 1, and M = 4 in the fold schedules
         want = [
             sum((F(c.width / w) ** p * c.height**q for c in explicit.columns), F(0))
             for q in range(3)
@@ -244,3 +255,63 @@ def test_generic_name_measure_equals_reference_dp_default_scale(deficiency_words
     plain, restricted = reference_name_measure(node, x, force_generic=True)
     assert name_measure(node, x, force_generic=True) == plain
     assert name_measure(node, x, restricted=True, force_generic=True) == restricted
+
+
+# (r, h0, fold schedule): the codec benchmark's alpha set-up, the deficiency
+# runner's defaults and the runners benchmark's oscillation config
+STAGE_CONFIGS = {
+    "codec": (F(1, 256), 64, OSCILLATION_DEFAULTS["fold_schedule"]),
+    "deficiency": (parse_rational(DEFICIENCY_DEFAULTS["r"]), DEFICIENCY_DEFAULTS["h0"],
+                   DEFICIENCY_DEFAULTS["fold_schedule"]),
+    "oscillation-h0-16": (parse_rational(OSCILLATION_DEFAULTS["r"]), 16,
+                          OSCILLATION_DEFAULTS["fold_schedule"]),
+}
+
+
+def _construction(name):
+    r, h0, schedule = STAGE_CONFIGS[name]
+    return Construction(ConstructionParams(r=r, h0=h0, fold_schedule=tuple(schedule)))
+
+
+def _certified_stages(construction):
+    """Stages 1.. whose fold count the construction certifies exactly."""
+    cap = construction.params.wd_stage_cap
+    return [construction.stage(s) for s in range(1, cap + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
+def test_moments_and_wd_equal_reference_at_stage_scale(name):
+    for stage in _certified_stages(_construction(name)):
+        node, M = stage.fold_base, stage.r_used
+        cache = {}
+        for p in range(M + 2):
+            assert node.moments(p) == reference_moments(node, p, cache), (stage.s, p)
+        closed = node.width * node.max_gamma * M * node.max_height < 1
+        if closed:
+            assert _wd_closed(node, M) == reference_wd_closed(node, M, cache), stage.s
+        classes = node.classes()
+        if classes is not None and math.comb(M + len(classes) - 1, len(classes) - 1) * len(classes) <= WD_ENUM_CAP:
+            want = reference_wd_enum(classes, node.width, M)
+        else:
+            assert closed
+            want = reference_wd_closed(node, M, cache)
+        assert stage.wd_method == "exact"
+        assert stage.wd_value == want, stage.s
+
+
+def test_sample_column_equals_reference_on_codec_fold_bases():
+    for stage in _certified_stages(_construction("codec")):
+        seed = stream_seed(20260810, f"fold-base-{stage.s}")
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            assert stage.fold_base.sample_column(rng) == reference_sample_column(stage.fold_base, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=100)
+@given(tree_specs(), st.integers(0, 2**32))
+def test_sample_column_equals_reference(drawn, seed):
+    node = build(drawn[0])
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        assert node.sample_column(rng) == reference_sample_column(node, ref)
