@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._util import format_rational, parse_rational, write_json_atomic
+from ._util import format_rational, parse_rational, write_atomic, write_json_atomic
 from .bitio import read_bits_file, write_bits_file
 from .construction import Construction, ConstructionParams, FragmentSpec, build_alpha, heights_schedule
 from .deficiency import deficiency_curve
@@ -71,14 +71,6 @@ def _sigma_from_spec(spec):
         return json.load(fh)
 
 
-def _write_curve(path, curve):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(experiments.CSV_HEADER)
-        for n, bits, ratio in curve.points:
-            writer.writerow([n, bits, f"{float(ratio):.8f}"])
-
-
 def cmd_encode(args):
     coder = _make_coder(args)
     word = read_bits_file(args.infile)
@@ -99,7 +91,7 @@ def cmd_ratio_curve(args):
     coder = _make_coder(args)
     word = read_bits_file(args.infile)
     curve = ratio_curve(coder, word, args.stride)
-    _write_curve(args.csv, curve)
+    write_atomic(args.csv, experiments.curve_csv(curve.points))
     print(f"wrote {len(curve.points)} checkpoints to {args.csv}")
 
 

@@ -110,7 +110,8 @@ def merge_config(defaults: dict, overrides: dict | None) -> dict:
     return cfg
 
 
-def _curve_csv(points) -> str:
+def curve_csv(points) -> str:
+    """The CSV text of a ratio curve's (n, bits, ratio) points."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
@@ -247,7 +248,7 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
             "values": {"sparse": sparse_count, "incompressible": inc_count},
         }
     )
-    return _finish(summary, "oscillation", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
+    return _finish(summary, "oscillation", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def run_robustness(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -316,7 +317,7 @@ def run_robustness(config: dict | None = None, outdir: str | None = None) -> dic
             "values": {"ratio": float(blocks[largest]), "H": H},
         }
     )
-    return _finish(summary, "robustness", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
+    return _finish(summary, "robustness", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def _second_order_source() -> MarkovSource:
@@ -376,7 +377,7 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
                 "values": {},
             }
         )
-    return _finish(summary, "universality", {k: _curve_csv(p) for k, p in curves.items()}, outdir)
+    return _finish(summary, "universality", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dict:

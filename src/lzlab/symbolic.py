@@ -16,18 +16,29 @@ Name-measure DP: for a query word x of length m, each node carries
 under the column width distribution; concatenation (stack, m-fold) combines
 these by the crossing/tiling identities dictated by the product structure.
 Towers whose names are uniform over {0,1}**h short-circuit to closed forms.
-Every value is n / (Q * 2**e): an entry holds an integer n and a binary
-exponent e, and a node holds one odd denominator Q.  Products multiply
-numerators and add exponents, sums shift the term with the smaller
-exponent, and a union lifts each child to a common Q and moves the power of
-two of its width share into the exponents.  Once per node Q and the
-numerators are divided by their gcd; one Fraction is built at the root.
+
+The well-distributedness closed form reads the moments
+T(p, q) = sum_D gamma_D^p h_D^q (q = 0, 1, 2) over the columns D; a union
+sums its children's weighted by share**p, a stack convolves them and an
+m-fold is a repeated stack.
+
+Name-measure tables and moments share one exact representation.  Every
+value is n / (Q * 2**e): an entry holds an integer n and a binary exponent
+e, and a node (per query word, or per moment order p) holds one odd
+denominator Q.  Products multiply numerators and add exponents, sums shift
+the term with the smaller exponent, and a union lifts each child to a
+common Q and moves the power of two of its width share into the exponents.
+Once per node Q and the numerators are divided by their gcd; a Fraction is
+built only where a result leaves the module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 
 from .intervals import (
     Gadget,
@@ -62,7 +73,7 @@ class SymbolicGadget:
         self.max_gamma: Fraction = Fraction(0)
         self.uniform_height: int | None = None
         self._classes = -1  # lazy; -1 = not computed, None = over cap
-        self._moments: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
+        self._moments: dict[int, tuple[int, tuple]] = {}
 
     # -- column classes: (width share, height, count) of interchangeable columns
     def classes(self):
@@ -75,10 +86,14 @@ class SymbolicGadget:
 
     # -- moments T(p, q) = sum_D gamma_D^p h_D^q for q = 0, 1, 2
     def moments(self, p: int) -> tuple[Fraction, Fraction, Fraction]:
+        q, t = self._moments_of(p)
+        return tuple(_fraction(n, q, e) for n, e in t)
+
+    def _moments_of(self, p: int):
+        """(Q, ((n0, e0), (n1, e1), (n2, e2))) with T(p, q) = n_q / (Q * 2**e_q)."""
         got = self._moments.get(p)
         if got is None:
-            got = self._compute_moments(p)
-            self._moments[p] = got
+            got = self._moments[p] = self._compute_moments(p)
         return got
 
     def _compute_moments(self, p: int):
@@ -95,8 +110,14 @@ class SymbolicGadget:
         raise NotImplementedError
 
 
-def _rand_fraction(rng) -> Fraction:
-    return Fraction(rng.getrandbits(64), 1 << 64)
+def _cuts(widths, total: Fraction) -> list[int]:
+    """A 64-bit draw r picks the first part whose cumulative width exceeds
+    r / 2**64 * total, that is, the first with r < ceil(cumulative * 2**64 / total)."""
+    cuts, acc = [], Fraction(0)
+    for w in widths:
+        acc += w
+        cuts.append(math.ceil(acc * (1 << 64) / total))
+    return cuts
 
 
 class BaseNode(SymbolicGadget):
@@ -112,6 +133,7 @@ class BaseNode(SymbolicGadget):
         self.ncols = len(gadget.columns)
         self.max_gamma = max(c.width / self.width for c in gadget.columns)
         self.uniform_height = self._detect_uniform()
+        self._cuts = None
 
     def _detect_uniform(self):
         cols = self.gadget.columns
@@ -133,26 +155,19 @@ class BaseNode(SymbolicGadget):
         return [(w * n / self.width, h, n) for (w, h), n in groups.items()]
 
     def _compute_moments(self, p):
-        t0 = t1 = t2 = Fraction(0)
-        for c in self.gadget.columns:
-            g = c.width / self.width
-            gp = g**p
-            t0 += gp
-            t1 += gp * c.height
-            t2 += gp * c.height**2
-        return (t0, t1, t2)
+        """The union of its columns; one column alone has T(p, q) = h**q."""
+        return _union_moments(
+            [((1, ((1, 0), (c.height, 0), (c.height**2, 0))), c.width / self.width)
+             for c in self.gadget.columns], p)
 
     def to_explicit(self) -> Gadget:
         return self.gadget
 
     def sample_column(self, rng) -> str:
-        u = _rand_fraction(rng) * self.width
-        acc = Fraction(0)
-        for c in self.gadget.columns:
-            acc += c.width
-            if u < acc:
-                return c.name
-        return self.gadget.columns[-1].name
+        cols = self.gadget.columns
+        if self._cuts is None:
+            self._cuts = _cuts([c.width for c in cols], self.width)
+        return cols[bisect_right(self._cuts, rng.getrandbits(64))].name
 
 
 class CutNode(SymbolicGadget):
@@ -180,7 +195,7 @@ class CutNode(SymbolicGadget):
         return self.child.classes()
 
     def _compute_moments(self, p):
-        return self.child.moments(p)
+        return self.child._moments_of(p)
 
     def to_explicit(self) -> Gadget:
         return cut_into_copies(self.child.to_explicit(), list(self.gamma))[self.index]
@@ -210,6 +225,7 @@ class UnionNode(SymbolicGadget):
         self.max_gamma = max(c.max_gamma * c.width / self.width for c in children)
         if len(children) == 1:
             self.uniform_height = children[0].uniform_height
+        self._cuts = None
 
     def _compute_classes(self):
         out = []
@@ -224,34 +240,15 @@ class UnionNode(SymbolicGadget):
         return out
 
     def _compute_moments(self, p):
-        t0 = t1 = t2 = Fraction(0)
-        for c in self.children:
-            u = (c.width / self.width) ** p
-            s0, s1, s2 = c.moments(p)
-            t0 += u * s0
-            t1 += u * s1
-            t2 += u * s2
-        return (t0, t1, t2)
+        return _union_moments([(c._moments_of(p), c.width / self.width) for c in self.children], p)
 
     def to_explicit(self) -> Gadget:
         return union_gadgets(*(c.to_explicit() for c in self.children))
 
     def sample_column(self, rng) -> str:
-        u = _rand_fraction(rng) * self.width
-        acc = Fraction(0)
-        for c in self.children:
-            acc += c.width
-            if u < acc:
-                return c.sample_column(rng)
-        return self.children[-1].sample_column(rng)
-
-
-def _stack_moments(a, b):
-    return (
-        a[0] * b[0],
-        a[1] * b[0] + a[0] * b[1],
-        a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
-    )
+        if self._cuts is None:
+            self._cuts = _cuts([c.width for c in self.children], self.width)
+        return self.children[bisect_right(self._cuts, rng.getrandbits(64))].sample_column(rng)
 
 
 class StackNode(SymbolicGadget):
@@ -284,7 +281,7 @@ class StackNode(SymbolicGadget):
         ]
 
     def _compute_moments(self, p):
-        return _stack_moments(self.lower.moments(p), self.upper.moments(p))
+        return _stack_moments(self.lower._moments_of(p), self.upper._moments_of(p))
 
     def to_explicit(self) -> Gadget:
         return stack_gadgets(self.lower.to_explicit(), self.upper.to_explicit())
@@ -320,39 +317,15 @@ class MFoldNode(SymbolicGadget):
         k = len(sub)
         if math.comb(self.m + k - 1, k - 1) > CLASS_TABLE_CAP:
             return None
-        out = []
-
-        def rec(idx, left, share, height, count):
-            if idx == k - 1:
-                s, h, n = sub[idx]
-                out.append((share * s**left, height + h * left, count * n**left))
-                return
-            s, h, n = sub[idx]
-            for take in range(left + 1):
-                ways = math.comb(left, take)
-                rec(
-                    idx + 1,
-                    left - take,
-                    share * s**take * ways,
-                    height + h * take,
-                    count * n**take * ways,
-                )
-
-        rec(0, self.m, Fraction(1), 0, 1)
-        return out
+        return [
+            (ways * math.prod(s**c for (s, _, _), c in zip(sub, vec)),
+             sum(h * c for (_, h, _), c in zip(sub, vec)),
+             ways * math.prod(n**c for (_, _, n), c in zip(sub, vec)))
+            for vec, ways in _compositions(self.m, k)
+        ]
 
     def _compute_moments(self, p):
-        base = self.child.moments(p)
-        result = (Fraction(1), Fraction(0), Fraction(0))
-        acc = base
-        m = self.m
-        while m:
-            if m & 1:
-                result = _stack_moments(result, acc)
-            m >>= 1
-            if m:
-                acc = _stack_moments(acc, acc)
-        return result
+        return _power(self.child._moments_of(p), self.m, _stack_moments)
 
     def to_explicit(self) -> Gadget:
         return mfold_explicit(self.child.to_explicit(), self.m)
@@ -362,6 +335,14 @@ class MFoldNode(SymbolicGadget):
             h = self.uniform_height
             return format(rng.getrandbits(h), f"0{h}b") if h else ""
         return "".join(self.child.sample_column(rng) for _ in range(self.m))
+
+
+def _compositions(m: int, k: int):
+    """(counts, multinomial coefficient) for every way m ordered draws fall
+    into k classes; counts ascend lexicographically."""
+    for bars in itertools.combinations(range(m + k - 1), k - 1):
+        vec = [b - a - 1 for a, b in zip((-1, *bars), (*bars, m + k - 1))]
+        yield vec, math.factorial(m) // math.prod(math.factorial(c) for c in vec)
 
 
 def base_node(gadget: Gadget) -> BaseNode:
@@ -381,6 +362,95 @@ def union(*nodes: SymbolicGadget) -> UnionNode:
 
 
 # ---------------------------------------------------------------------------
+# exact values n / (Q * 2**e)
+
+
+def _fraction(n: int, q: int, e: int) -> Fraction:
+    return Fraction(n, q << e) if e >= 0 else Fraction(n << -e, q)
+
+
+def _add(s, t):
+    """Sum of two entries over one q: the one with the smaller exponent shifts."""
+    d = s[1] - t[1]
+    if d >= 0:
+        return (s[0] + (t[0] << d), s[1])
+    return ((s[0] << -d) + t[0], t[1])
+
+
+def _mul(s, t):
+    return (s[0] * t[0], s[1] + t[1])
+
+
+def _reduce(q: int, tables) -> int:
+    """Divide q and every numerator in tables (dicts of entries) by their
+    gcd, and move each numerator's factors of two into its exponent; returns
+    the new q."""
+    g = math.gcd(q, *(n for t in tables for n, _ in t.values())) if q > 1 else 1
+    for t in tables:
+        for k, (n, e) in t.items():
+            z = 0 if n & 1 or not n else (n & -n).bit_length() - 1
+            if z or g > 1:
+                t[k] = (n // g >> z, e - z)
+    return q // g
+
+
+def _union_lifts(parts, p: int = 1):
+    """Children (q, u) weighted by u**p, u = a / (q' * 2**k) with q' odd:
+    the lcm L of every q * q'**p, and per child the numerator factor
+    a**p * L / (q * q'**p) and the exponent k * p."""
+    split = []
+    for q, u in parts:
+        den = u.denominator
+        k = (den & -den).bit_length() - 1
+        split.append((u.numerator**p, q * (den >> k) ** p, k * p))
+    L = math.lcm(*(s[1] for s in split))
+    return L, [(a * (L // q), k) for a, q, k in split]
+
+
+def _power(f, k: int, combine):
+    """f combined with itself k >= 1 times, by repeated squaring."""
+    result = None
+    while k:
+        if k & 1:
+            result = f if result is None else combine(result, f)
+        k >>= 1
+        if k:
+            f = combine(f, f)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# moments: (Q, (T0, T1, T2)) with entries (n, e)
+
+
+def _reduced_moments(q: int, t: dict):
+    q = _reduce(q, (t,))
+    return q, (t[0], t[1], t[2])
+
+
+def _union_moments(parts, p: int):
+    """Sum of child moments weighted by width shares u**p."""
+    L, lifts = _union_lifts([(m[0], u) for m, u in parts], p)
+    acc = {0: (0, 0), 1: (0, 0), 2: (0, 0)}
+    for ((_, t), _), (lift, k) in zip(parts, lifts):
+        for i, (n, e) in enumerate(t):
+            acc[i] = _add(acc[i], (n * lift, e + k))
+    return _reduced_moments(L, acc)
+
+
+def _stack_moments(a, b):
+    """Moments of a stack: shares multiply and heights add, so T(p, 2)
+    expands binomially."""
+    (qa, (a0, a1, a2)), (qb, (b0, b1, b2)) = a, b
+    cross = (a1[0] * b1[0], a1[1] + b1[1] - 1)  # 2 * T_a(1) * T_b(1)
+    return _reduced_moments(qa * qb, {
+        0: _mul(a0, b0),
+        1: _add(_mul(a1, b0), _mul(a0, b1)),
+        2: _add(_add(_mul(a2, b0), _mul(a0, b2)), cross),
+    })
+
+
+# ---------------------------------------------------------------------------
 # name-measure dynamic programming
 
 
@@ -392,26 +462,9 @@ class _F:
         self.pre, self.suf, self.exa = pre or {}, suf or {}, exa or {}
 
 
-def _add(s, t):
-    """Sum of two entries over one q: the one with the smaller exponent shifts."""
-    d = s[1] - t[1]
-    if d >= 0:
-        return (s[0] + (t[0] << d), s[1])
-    return ((s[0] << -d) + t[0], t[1])
-
-
-def _reduce(f: _F) -> _F:
-    """Divide q and every numerator by their gcd, and move each numerator's
-    factors of two into its exponent."""
+def _reduce_f(f: _F) -> _F:
     ends = {0: f.occ, 1: f.top}
-    tables = (ends, f.pre, f.suf, f.exa)
-    g = math.gcd(f.q, *(n for t in tables for n, _ in t.values())) if f.q > 1 else 1
-    f.q //= g
-    for t in tables:
-        for k, (n, e) in t.items():
-            z = 0 if n & 1 or not n else (n & -n).bit_length() - 1
-            if z or g > 1:
-                t[k] = (n // g >> z, e - z)
+    f.q = _reduce(f.q, (ends, f.pre, f.suf, f.exa))
     f.occ, f.top = ends[0], ends[1]
     return f
 
@@ -446,18 +499,7 @@ def _combine(A: _F, B: _F, m: int) -> _F:
     for (a, c), (n, e) in A.exa.items():
         for b, n2, e2 in by_start.get(c, ()):
             exa[a, b] = _add(exa.get((a, b), (0, 0)), (n * n2, e + e2))
-    return _reduce(_F(qa * qb, occ, pre, suf, exa, top))
-
-
-def _power(f: _F, k: int, m: int) -> _F:
-    result = None
-    while k:
-        if k & 1:
-            result = f if result is None else _combine(result, f, m)
-        k >>= 1
-        if k:
-            f = _combine(f, f, m)
-    return result
+    return _reduce_f(_F(qa * qb, occ, pre, suf, exa, top))
 
 
 def _uniform_functionals(h: int, x: str) -> _F:
@@ -470,22 +512,16 @@ def _uniform_functionals(h: int, x: str) -> _F:
 
 
 def _union_functionals(parts) -> _F:
-    """Sum of child functionals f weighted by width shares u = p / (q' * 2**k),
-    q' odd, over the lcm of every child's q * q'."""
-    split = []
-    for f, u in parts:
-        den = u.denominator
-        k = (den & -den).bit_length() - 1
-        split.append((f, u.numerator, f.q * (den >> k), k))
-    acc = _F(math.lcm(*(s[2] for s in split)))
-    for f, p, q, k in split:
-        lift = p * (acc.q // q)
+    """Sum of child functionals f weighted by width shares u."""
+    L, lifts = _union_lifts([(f.q, u) for f, u in parts])
+    acc = _F(L)
+    for (f, _), (lift, k) in zip(parts, lifts):
         acc.occ = _add(acc.occ, (f.occ[0] * lift, f.occ[1] + k))
         acc.top = _add(acc.top, (f.top[0] * lift, f.top[1] + k))
         for d_acc, d_f in ((acc.pre, f.pre), (acc.suf, f.suf), (acc.exa, f.exa)):
             for key, (n, e) in d_f.items():
                 d_acc[key] = _add(d_acc.get(key, (0, 0)), (n * lift, e + k))
-    return _reduce(acc)
+    return _reduce_f(acc)
 
 
 def _base_functionals(node: BaseNode, x: str) -> _F:
@@ -530,7 +566,7 @@ class _NameQuery:
         if isinstance(node, StackNode):
             return _combine(self.functionals(node.lower), self.functionals(node.upper), m)
         if isinstance(node, MFoldNode):
-            return _power(self.functionals(node.child), node.m, m)
+            return _power(self.functionals(node.child), node.m, partial(_combine, m=m))
         raise GadgetError(f"unknown node kind {node.kind}")
 
 
@@ -546,8 +582,7 @@ def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
         return node.support
     f = _NameQuery(x, force_generic).functionals(node)
     n, e = _add(f.occ, (-f.top[0], f.top[1])) if restricted else f.occ
-    num, den = n * node.width.numerator, f.q * node.width.denominator
-    return Fraction(num, den << e) if e >= 0 else Fraction(num << -e, den)
+    return _fraction(n * node.width.numerator, f.q * node.width.denominator, e)
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +597,10 @@ def _wd_enum(classes, W: Fraction, M: int) -> Fraction:
     heights = [c[1] for c in classes]
     counts = [c[2] for c in classes]
     total = Fraction(0)
-
-    compositions: list[tuple[tuple[int, ...], Fraction]] = []
-
-    def rec(idx, left, prob, vec):
-        if idx == K - 1:
-            compositions.append((tuple(vec + [left]), prob * shares[idx] ** left))
-            return
-        for take in range(left + 1):
-            rec(idx + 1, left - take, prob * shares[idx] ** take * math.comb(left, take), vec + [take])
-
-    # multinomial coefficient accumulates via the comb(left, take) factors
-    rec(0, M, Fraction(1), [])
-
+    compositions = [
+        (vec, ways * math.prod(s**c for s, c in zip(shares, vec)))
+        for vec, ways in _compositions(M, K)
+    ]
     for k in range(K):
         n_k = counts[k]
         w_k = W * shares[k] / n_k
@@ -591,20 +617,30 @@ def _wd_enum(classes, W: Fraction, M: int) -> Fraction:
     return total * W / M
 
 
+def _alternating(node: SymbolicGadget, M: int, k: int):
+    """sum_{j < M} (-1)**j C(M - 1, j) T(j + k, k) as (Q, (n, e))."""
+    terms = [node._moments_of(j + k) for j in range(M)]
+    q = math.lcm(*(qj for qj, _ in terms))
+    acc = (0, 0)
+    for j, (qj, t) in enumerate(terms):
+        n, e = t[k]
+        c = math.comb(M - 1, j) * (q // qj)
+        acc = _add(acc, (-c * n if j & 1 else c * n, e))
+    return q, acc
+
+
 def _wd_closed(node: SymbolicGadget, M: int) -> Fraction:
     """Closed form, valid when every |c_D - w_D * H| resolves by sign:
-    requires max column width * M * max height < 1."""
-    W = node.width
-    eta = node.mean_height()
-    lam = node.support
-    A = Fraction(0)
-    B = Fraction(0)
-    for j in range(M):
-        sign = -1 if j & 1 else 1
-        cmj = math.comb(M - 1, j)
-        A += sign * cmj * node.moments(j + 1)[1]
-        B += sign * cmj * node.moments(j + 2)[2]
-    return lam * (1 - lam) + 2 * W**2 * (eta * A - B)
+    requires max column width * M * max height < 1.  It is
+    lam (1 - lam) + 2 W**2 (eta A - B) with eta the mean height and A, B the
+    alternating sums of T(j + 1, 1) and T(j + 2, 2)."""
+    W, lam = node.width, node.support
+    qe, (_, eta, _) = node._moments_of(1)
+    qa, a = _alternating(node, M, 1)
+    qb, b = _alternating(node, M, 2)
+    q = math.lcm(qe * qa, qb)
+    n, e = _add((eta[0] * a[0] * (q // (qe * qa)), eta[1] + a[1]), (-b[0] * (q // qb), b[1]))
+    return lam * (1 - lam) + _fraction(2 * W.numerator**2 * n, q * W.denominator**2, e)
 
 
 def well_distributedness_mfold(node: SymbolicGadget, M: int) -> Fraction:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from lzlab.symbolic import (
     union,
     well_distributedness_mfold,
     _wd_closed,
+    _wd_enum,
 )
 
 F = Fraction
@@ -302,3 +304,19 @@ def test_union_disjointness_enforced():
     g = simple_gadget()
     with pytest.raises(GadgetError):
         union_gadgets(g, g)
+
+
+def test_classes_and_wd_enum_leave_no_reference_cycles():
+    """Class tables and the enumerated well-distributedness free everything
+    they allocate by reference counting; nothing waits for the collector."""
+    base = base_node(Gadget([make_column(0, F(1, 8), "0"), make_column(F(1, 2), F(1, 4), "11")]))
+    node = mfold(base, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        classes = node.classes()
+        assert len(classes) == 4
+        _wd_enum(classes, node.width, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
