@@ -317,12 +317,15 @@ class MFoldNode(SymbolicGadget):
         k = len(sub)
         if math.comb(self.m + k - 1, k - 1) > CLASS_TABLE_CAP:
             return None
-        return [
-            (ways * math.prod(s**c for (s, _, _), c in zip(sub, vec)),
-             sum(h * c for (_, h, _), c in zip(sub, vec)),
-             ways * math.prod(n**c for (_, _, n), c in zip(sub, vec)))
-            for vec, ways in _compositions(self.m, k)
-        ]
+        out = []
+        for vec, ways in _compositions(self.m, k):
+            share, height, count = Fraction(ways), 0, ways
+            for (s, h, n), c in zip(sub, vec):
+                share *= s**c
+                height += h * c
+                count *= n**c
+            out.append((share, height, count))
+        return out
 
     def _compute_moments(self, p):
         return _power(self.child._moments_of(p), self.m, _stack_moments)

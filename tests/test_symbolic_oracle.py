@@ -308,6 +308,42 @@ def test_sample_column_equals_reference_on_codec_fold_bases():
         assert rng.getstate() == ref.getstate()
 
 
+class _Draws:
+    """A stand-in rng whose 64-bit draws are given."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        assert k == 64
+        return next(self.values)
+
+
+def _boundary_draws(shares):
+    """64-bit draws at and next to r = cumulative share * 2**64."""
+    out, acc = [], F(0)
+    for share in shares[:-1]:
+        acc += share
+        x = acc * 2**64
+        out += [math.floor(x) - 1, math.floor(x), math.ceil(x), math.ceil(x) + 1]
+    return out
+
+
+def test_sample_column_boundary_draws_equal_reference():
+    """Random draws land next to a cut point with chance about 2**-64, so
+    the draws on either side of every cut are given: shares 1/3 and 2/3 in
+    a base, 3/5 and 2/5 in a union over it."""
+    lower = base_node(Gadget([Column((Interval(F(0), F(1, 7)),), "0"),
+                              Column((Interval(F(1, 7), F(3, 7)),), "1")]))
+    upper = base_node(Gadget([Column((Interval(F(4, 7), F(6, 7)),), "1")]))
+    node = union(lower, upper)
+    for tree, draws in ((lower, [[r] for r in _boundary_draws([F(1, 3), F(2, 3)])]),
+                        (node, [[u, r] for u in _boundary_draws([F(3, 5), F(2, 5)])
+                                for r in _boundary_draws([F(1, 3), F(2, 3)])])):
+        for d in draws:
+            assert tree.sample_column(_Draws(d)) == reference_sample_column(tree, _Draws(d)), d
+
+
 @settings(max_examples=100)
 @given(tree_specs(), st.integers(0, 2**32))
 def test_sample_column_equals_reference(drawn, seed):
