@@ -20,6 +20,18 @@ from lzlab.experiments import (
 
 # the ratio-curve file of test_ratio_curve_csv_schema, byte for byte
 RATIO_CURVE_CSV_SHA256 = "5657af3e7e3ae23b99b80ddff04a0aef8fce0e9cd282c9b893a3f40b89e20f03"
+# the files and stdout text the mixture, deficiency and theorem1 alpha tests
+# below write, byte for byte
+MIXTURE_CSV_SHA256 = "4741738860d063b8ada174db3b19961ca204cc297071596a49424d0b1d7cae58"
+MIXTURE_KMAX0_STDOUT_SHA256 = "569cbec1c1276bbf58059fd06c4832d30c1bdd117a3a2cf66b2e95ad88fd2e56"
+DEFICIENCY_LZ78_CSV_SHA256 = "047e403d5c3e07711b0d31fd806b7600df6951a321b26455c62896ad53d148e5"
+DEFICIENCY_MIXTURE_CSV_SHA256 = "be304dc770dd6f1fb0b12ce9f7c9df57024e2a66917caea9afcba1d3d7b84bee"
+ALPHA_BITS_SHA256 = "235777f49f7756c5e8fbb83daebcd412acf07c1560ad883861639e9195280242"
+ALPHA_TRACE_SHA256 = "d1e3343546afbabb7b581c16f78b1cf4890558733059cd0448500b78a0e212ad"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_encode_decode_roundtrip_via_cli(tmp_path):
@@ -57,7 +69,7 @@ def test_ratio_curve_csv_schema(tmp_path):
     assert hashlib.sha256(data).hexdigest() == RATIO_CURVE_CSV_SHA256
 
 
-def test_mixture_cli_csv(tmp_path):
+def test_mixture_cli_csv(tmp_path, capsys):
     rng = random.Random(3)
     word = "".join("1" if rng.random() < 0.2 else "0" for _ in range(4096))
     src = tmp_path / "w.bits"
@@ -69,6 +81,11 @@ def test_mixture_cli_csv(tmp_path):
     assert rows[0] == ["n", "neg_log_rho_per_symbol", "code_bits"]
     rate = float(rows[-1][1])
     assert 0.6 < rate < 0.9  # near h(0.2) = 0.722
+    assert _sha256(out.read_bytes()) == MIXTURE_CSV_SHA256
+    capsys.readouterr()
+    # without --csv the same text goes to stdout
+    main(["mixture", "--kmax", "0", "--stride", "1000", "--in", str(src)])
+    assert _sha256(capsys.readouterr().out.encode()) == MIXTURE_KMAX0_STDOUT_SHA256
 
 
 def test_gadget_stats_and_dump(tmp_path, capsys):
@@ -109,13 +126,15 @@ def test_theorem1_cli_flow(tmp_path, capsys):
     meta = json.loads(trace.read_text())
     assert meta["length"] == len(bits)
     assert len(meta["fragments"]) == 3
+    assert _sha256(out.read_bytes()) == ALPHA_BITS_SHA256
+    assert _sha256(trace.read_bytes()) == ALPHA_TRACE_SHA256
     sample = tmp_path / "s.bits"
     main(["theorem1", "sample", "--h0", "16", "--folds", "4,4,4",
           "--seed", "9", "--len", "500", "--out", str(sample)])
     assert len(read_bits_file(str(sample))) == 500
 
 
-def test_deficiency_cli(tmp_path):
+def test_deficiency_cli(tmp_path, capsys):
     src = tmp_path / "w.bits"
     out = tmp_path / "d.csv"
     rng = random.Random(8)
@@ -126,6 +145,15 @@ def test_deficiency_cli(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "dhat"]
     assert len(rows) == 5
+    assert _sha256(out.read_bytes()) == DEFICIENCY_LZ78_CSV_SHA256
+    mix = ["deficiency", "--measure", "flip:1/10", "--code", "mixture", "--kmax", "2",
+           "--in", str(src), "--stride", "1024"]
+    main(mix + ["--csv", str(out)])
+    assert _sha256(out.read_bytes()) == DEFICIENCY_MIXTURE_CSV_SHA256
+    capsys.readouterr()
+    # without --csv the same text goes to stdout
+    main(mix)
+    assert _sha256(capsys.readouterr().out.encode()) == DEFICIENCY_MIXTURE_CSV_SHA256
 
 
 def test_source_cli(tmp_path, capsys):
