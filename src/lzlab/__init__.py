@@ -7,6 +7,6 @@ from .intervals import Column, Gadget, Interval, Partition
 from .ktmix import MixtureCoder, MixtureMeasure, forecast_error, kt_prob
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, compression_ratio, decodability_check, lz78_parse, ratio_curve
 from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
-from .symbolic import base_node, find_rs, mfold, name_measure, stack, union, well_distributedness
+from .symbolic import base_node, find_rs, mfold, name_measure, stack, union
 
 __version__ = "0.1.0"

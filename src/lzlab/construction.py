@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from ._util import log2_fraction
 from .intervals import Column, Gadget, Interval, Partition, column_from_interval
 from .lz import LZ78Coder, compression_ratio
 from .symbolic import (
@@ -227,7 +226,6 @@ class Construction:
         prev = self.stages[s - 1]
         delta_prime, delta_second = cut_symbolic(prev.delta, (F(1, 2), F(1, 2)))
         fold_base = union(prev.pi, delta_second)
-        fold_base.pi_child = 0  # routing tag for the sparse sampler
         m, wd_value, wd_method = self._fold_count(s, fold_base, delta_prime)
         pi_s = mfold(fold_base, m)
         delta_s = mfold(delta_prime, m)
@@ -332,10 +330,8 @@ def sample_sparse_column(node: SymbolicGadget) -> str:
     if isinstance(node, MFoldNode):
         return sample_sparse_column(node.child) * node.m
     if isinstance(node, UnionNode):
-        idx = getattr(node, "pi_child", None)
-        if idx is None:
-            idx = 0
-        return sample_sparse_column(node.children[idx])
+        # the stages build every union with the main gadget first
+        return sample_sparse_column(node.children[0])
     if isinstance(node, BaseNode):
         best = min(node.gadget.columns, key=lambda c: c.name.count("1"))
         return best.name
@@ -355,7 +351,6 @@ class Fragment:
     segment: tuple[int, int] | None = None
     parts: int = 0
     ones_frequency: float | None = None
-    deficiency: float | None = None
 
 
 @dataclass
@@ -368,17 +363,8 @@ class AlphaTrace:
         return {
             "length": len(self.bits),
             "fragments": [
-                {
-                    "index": f.index,
-                    "kind": f.kind,
-                    "stage": f.stage,
-                    "start": f.start,
-                    "end": f.end,
-                    "segment": list(f.segment) if f.segment else None,
-                    "parts": f.parts,
-                    "ones_frequency": f.ones_frequency,
-                    "deficiency": f.deficiency,
-                }
+                # "deficiency" is always None; the pinned runner digests cover the key
+                {**asdict(f), "segment": list(f.segment) if f.segment else None, "deficiency": None}
                 for f in self.fragments
             ],
             "heights": self.heights,
@@ -392,6 +378,12 @@ class FragmentSpec:
     parts: int = 1  # sparse: number of parts to emit at that stage
 
 
+# draws of a sparse extension, or of an incompressible block, per step
+FREQ_RETRIES = 16
+# an incompressible block must reach this LZ78 compression ratio
+INCOMPRESSIBILITY_THRESHOLD = F(9, 10)
+
+
 class AlphaBuilder:
     """Emits the alternating sparse / incompressible trace.
 
@@ -401,17 +393,9 @@ class AlphaBuilder:
     part boundaries of their stage.
     """
 
-    def __init__(self, construction: Construction, seed: int = 0,
-                 candidates: int = 3, freq_retries: int = 16,
-                 incompressibility_threshold: Fraction = F(9, 10),
-                 deficiency_horizon: int = 0, code=None):
+    def __init__(self, construction: Construction, seed: int = 0):
         self.c = construction
         self.rng = random.Random(seed)
-        self.candidates = candidates
-        self.freq_retries = freq_retries
-        self.threshold = incompressibility_threshold
-        self.horizon = deficiency_horizon
-        self.code = code if code is not None else LZ78Coder()
         self.bits: list[str] = []
         self.length = 0
         self.counters: dict[int, int] = {}
@@ -431,9 +415,8 @@ class AlphaBuilder:
         self.bits.append(name)
         self.length += len(name)
 
-    def _fill_to_boundary(self, target_stage: int) -> int:
+    def _fill_to_boundary(self, target_stage: int) -> None:
         """Emit sparse filler parts until all counters below target are 0."""
-        filled = 0
         for t in range(1, target_stage):
             pending = self.counters.get(t, 0)
             if pending == 0:
@@ -441,28 +424,19 @@ class AlphaBuilder:
             need = self.c.stage(t).r_used - pending
             base = self.c.stage(t).fold_base
             for _ in range(need):
-                name = sample_sparse_column(base)
-                self._emit(name)
-                filled += len(name)
+                self._emit(sample_sparse_column(base))
                 self._bump(t)
-        return filled
 
     def _sample_extension(self, stage: int, parts: int) -> list[str]:
         base = self.c.stage(stage).fold_base
         max_ones = 2 * self.c.params.r
-        for _ in range(self.freq_retries):
+        for _ in range(FREQ_RETRIES):
             names = [base.sample_column(self.rng) for _ in range(parts)]
             total = sum(len(n) for n in names)
             ones = sum(n.count("1") for n in names)
             if F(ones, total) <= max_ones:
                 return names
         return [sample_sparse_column(base) for _ in range(parts)]
-
-    def _deficiency(self, word: str) -> float:
-        p_hat = self.c.prob_estimate(word)
-        if p_hat <= 0:
-            return math.inf
-        return -log2_fraction(p_hat) - len(self.code.encode(word))
 
     def initial_fragment(self, length: int) -> None:
         """Alpha(0): a main-gadget trajectory name (all zeros at stage 0)."""
@@ -473,35 +447,18 @@ class AlphaBuilder:
         self._emit("0" * length)
         self._bump(1)
         frag = Fragment(0, "sparse", 0, 0, self.length, parts=1, ones_frequency=0.0)
-        if self.horizon and self.length <= self.horizon:
-            frag.deficiency = self._deficiency("".join(self.bits))
         self.fragments.append(frag)
 
     def sparse_step(self, stage: int, parts: int) -> None:
         """Odd step: extend with a low-ones-frequency trajectory.
 
-        Candidate extensions are sampled from the routing distribution and
-        screened by ones frequency; within the deficiency horizon the
-        candidate with the smallest surrogate deficiency at the fragment end
-        is kept (the bounded-increase selection, applied at checkpoints).
+        The extension is sampled from the routing distribution and screened
+        by ones frequency.
         """
         k = len(self.fragments)
         start = self.length
         self._fill_to_boundary(stage)
-        prefix = "".join(self.bits)
-        n_cand = self.candidates if (self.horizon and start <= self.horizon) else 1
-        best = None
-        best_def = None
-        for _ in range(max(1, n_cand)):
-            names = self._sample_extension(stage, parts)
-            if n_cand <= 1:
-                best = names
-                break
-            word = prefix + "".join(names)
-            d = self._deficiency(word) if len(word) <= self.horizon else 0.0
-            if best_def is None or d < best_def:
-                best, best_def = names, d
-        for name in best:
+        for name in self._sample_extension(stage, parts):
             self._emit(name)
             self._bump(stage)
         ext = "".join(self.bits)[start:]
@@ -514,8 +471,6 @@ class AlphaBuilder:
             parts=parts,
             ones_frequency=ext.count("1") / len(ext) if ext else 0.0,
         )
-        if self.horizon and self.length <= self.horizon:
-            frag.deficiency = best_def if best_def is not None else self._deficiency("".join(self.bits))
         self.fragments.append(frag)
 
     def incompressible_step(self, stage: int) -> None:
@@ -532,9 +487,9 @@ class AlphaBuilder:
         self._fill_to_boundary(stage)
         block_len = self.c.stage(stage).delta_second.uniform_height
         block = None
-        for _ in range(self.freq_retries):
+        for _ in range(FREQ_RETRIES):
             cand = format(self.rng.getrandbits(block_len), f"0{block_len}b")
-            if compression_ratio(LZ78Coder(), cand) >= self.threshold:
+            if compression_ratio(LZ78Coder(), cand) >= INCOMPRESSIBILITY_THRESHOLD:
                 block = cand
                 break
         if block is None:
@@ -552,8 +507,6 @@ class AlphaBuilder:
             parts=1,
             ones_frequency=block.count("1") / block_len,
         )
-        if self.horizon and self.length <= self.horizon:
-            frag.deficiency = self._deficiency("".join(self.bits))
         self.fragments.append(frag)
 
     def build(self, schedule: list[FragmentSpec], initial_length: int) -> AlphaTrace:
@@ -578,9 +531,9 @@ def stage_height(construction: Construction, s: int) -> int:
 
 
 def build_alpha(construction: Construction, schedule: list[FragmentSpec],
-                initial_length: int, seed: int = 0, **kwargs) -> AlphaTrace:
+                initial_length: int, seed: int = 0) -> AlphaTrace:
     """Build the trace and enforce the length induction l(alpha(k)) >= h_s(k)."""
-    builder = AlphaBuilder(construction, seed=seed, **kwargs)
+    builder = AlphaBuilder(construction, seed=seed)
     trace = builder.build(schedule, initial_length)
     for frag in trace.fragments:
         need = stage_height(construction, frag.stage)

@@ -46,15 +46,13 @@ def probability_estimate(measure, x: str) -> Fraction:
     return value
 
 
-def surrogate_deficiency(x: str, measure, code=None, code_len=None) -> float:
+def surrogate_deficiency(x: str, measure, code=None) -> float:
     """-log2 P_hat(x) - L(x); raises on a zero probability estimate."""
-    if code_len is None:
-        coder = code if code is not None else LZ78Coder()
-        code_len = lambda w: monotone_length(coder, w)
+    coder = code if code is not None else LZ78Coder()
     p_hat = probability_estimate(measure, x)
     if p_hat <= 0:
         raise ValueError("measure estimate is zero; deficiency undefined")
-    return -log2_fraction(p_hat) - code_len(x)
+    return -log2_fraction(p_hat) - monotone_length(coder, x)
 
 
 @dataclass
@@ -65,15 +63,11 @@ class DeficiencyCurve:
         return [d for _, d in self.points]
 
 
-def deficiency_curve(omega: str, measure, code=None, stride: int = 1024,
-                     upto: int | None = None, code_len=None) -> DeficiencyCurve:
+def deficiency_curve(omega: str, measure, code=None, stride: int = 1024) -> DeficiencyCurve:
     """Surrogate deficiency of the prefixes at multiples of stride."""
-    limit = len(omega) if upto is None else min(upto, len(omega))
     curve = DeficiencyCurve()
-    for n in range(stride, limit + 1, stride):
-        curve.points.append(
-            (n, surrogate_deficiency(omega[:n], measure, code=code, code_len=code_len))
-        )
+    for n in range(stride, len(omega) + 1, stride):
+        curve.points.append((n, surrogate_deficiency(omega[:n], measure, code=code)))
     return curve
 
 

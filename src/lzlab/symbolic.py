@@ -43,7 +43,6 @@ from functools import partial
 from .intervals import (
     Gadget,
     GadgetError,
-    UnrelatedGadgets,
     count_occurrences,
     cut_into_copies,
     mfold_explicit,
@@ -98,9 +97,6 @@ class SymbolicGadget:
 
     def _compute_moments(self, p: int):
         raise NotImplementedError
-
-    def mean_height(self) -> Fraction:
-        return self.moments(1)[1]
 
     def to_explicit(self) -> Gadget:
         raise NotImplementedError
@@ -659,19 +655,6 @@ def well_distributedness_mfold(node: SymbolicGadget, M: int) -> Fraction:
         "no exact well-distributedness strategy applies (too many column "
         "classes and columns too wide for the closed form)"
     )
-
-
-def well_distributedness(lower, upper) -> Fraction:
-    """Dispatch: explicit pair geometrically; MFold(node) pairs by formula."""
-    from .intervals import well_distributedness_explicit
-
-    if isinstance(lower, Gadget) and isinstance(upper, Gadget):
-        return well_distributedness_explicit(lower, upper)
-    if isinstance(upper, MFoldNode) and upper.child is lower:
-        return well_distributedness_mfold(lower, upper.m)
-    if isinstance(lower, SymbolicGadget) and isinstance(upper, SymbolicGadget):
-        return well_distributedness_explicit(lower.to_explicit(), upper.to_explicit())
-    raise UnrelatedGadgets("gadgets are not related by cutting and stacking")
 
 
 def gadget_to_json(node: SymbolicGadget) -> dict:
