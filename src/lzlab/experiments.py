@@ -110,14 +110,23 @@ def merge_config(defaults: dict, overrides: dict | None) -> dict:
     return cfg
 
 
-def curve_csv(points) -> str:
-    """The CSV text of a ratio curve's (n, bits, ratio) points."""
+def csv_text(header, rows) -> str:
+    """CSV text in the csv module's default dialect: comma-separated rows,
+    each ending in CRLF."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for n, bits, ratio in points:
-        writer.writerow([n, bits, f"{float(ratio):.8f}"])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def curve_csv(points) -> str:
+    """The CSV text of a ratio curve's (n, bits, ratio) points."""
+    return csv_text(CSV_HEADER, ([n, bits, f"{float(ratio):.8f}"] for n, bits, ratio in points))
+
+
+def _check(name: str, passed: bool, values: dict) -> dict:
+    return {"name": name, "passed": passed, "values": values}
 
 
 def _finish(summary: dict, experiment: str, csvs: dict[str, str], outdir: str | None) -> dict:
@@ -143,15 +152,17 @@ def _coder_suite(cfg):
     ]
 
 
-def _spec_list(cfg) -> list[FragmentSpec]:
+def _spec_list(schedule) -> list[FragmentSpec]:
+    """Fragment specs from a JSON schedule of {"kind", "stage", "parts"} items."""
     return [
         FragmentSpec(item["kind"], int(item["stage"]), int(item.get("parts", 1)))
-        for item in cfg["schedule"]
+        for item in schedule
     ]
 
 
-def run_oscillation(config: dict | None = None, outdir: str | None = None) -> dict:
-    cfg = merge_config(OSCILLATION_DEFAULTS, config)
+def _alpha_trace(cfg: dict, stream: str):
+    """The configured construction and the trace built from it, seeded by
+    the named stream of the master seed."""
     params = ConstructionParams(
         r=parse_rational(cfg["r"]),
         h0=int(cfg["h0"]),
@@ -160,10 +171,16 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     construction = Construction(params)
     trace = build_alpha(
         construction,
-        _spec_list(cfg),
+        _spec_list(cfg["schedule"]),
         initial_length=int(cfg["initial_length"]),
-        seed=stream_seed(int(cfg["seed"]), "alpha"),
+        seed=stream_seed(int(cfg["seed"]), stream),
     )
+    return construction, trace
+
+
+def run_oscillation(config: dict | None = None, outdir: str | None = None) -> dict:
+    cfg = merge_config(OSCILLATION_DEFAULTS, config)
+    _, trace = _alpha_trace(cfg, "alpha")
     alpha = trace.bits
     n = len(alpha)
     stride = int(cfg["stride"])
@@ -211,43 +228,33 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
             "final_ratio": float(F(at[n], n)),
         }
         summary["coders"][coder.name] = entry
-        summary["checks"].append(
-            {
-                "name": f"{coder.name}: incompressible segments local ratio >= {float(local_min)}",
-                "passed": all(v >= local_min for v in seg_ratios.values()),
-                "values": {k: float(v) for k, v in seg_ratios.items()},
-            }
-        )
-        summary["checks"].append(
-            {
-                "name": f"{coder.name}: odd fragment-end prefix ratio <= {float(odd_max)}",
-                "passed": all(v <= odd_max for v in odd_ratios.values()),
-                "values": {str(k): float(v) for k, v in odd_ratios.items()},
-            }
-        )
-        summary["checks"].append(
-            {
-                "name": f"{coder.name}: prefix-ratio spread >= {float(spread_min)}",
-                "passed": spread >= spread_min,
-                "values": {"spread": float(spread)},
-            }
-        )
-    summary["checks"].append(
-        {
-            "name": f"alpha length >= {cfg['min_length']}",
-            "passed": n >= int(cfg["min_length"]),
-            "values": {"length": n},
-        }
-    )
+        summary["checks"] += [
+            _check(
+                f"{coder.name}: incompressible segments local ratio >= {float(local_min)}",
+                all(v >= local_min for v in seg_ratios.values()),
+                entry["segment_local_ratios"],
+            ),
+            _check(
+                f"{coder.name}: odd fragment-end prefix ratio <= {float(odd_max)}",
+                all(v <= odd_max for v in odd_ratios.values()),
+                entry["odd_prefix_ratios"],
+            ),
+            _check(
+                f"{coder.name}: prefix-ratio spread >= {float(spread_min)}",
+                spread >= spread_min,
+                {"spread": float(spread)},
+            ),
+        ]
     sparse_count = sum(1 for f in trace.fragments if f.kind == "sparse" and f.index >= 1)
     inc_count = sum(1 for f in trace.fragments if f.kind == "incompressible")
-    summary["checks"].append(
-        {
-            "name": "at least 3 sparse and 3 incompressible fragments",
-            "passed": sparse_count >= 3 and inc_count >= 3,
-            "values": {"sparse": sparse_count, "incompressible": inc_count},
-        }
-    )
+    summary["checks"] += [
+        _check(f"alpha length >= {cfg['min_length']}", n >= int(cfg["min_length"]), {"length": n}),
+        _check(
+            "at least 3 sparse and 3 incompressible fragments",
+            sparse_count >= 3 and inc_count >= 3,
+            {"sparse": sparse_count, "incompressible": inc_count},
+        ),
+    ]
     return _finish(summary, "oscillation", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
@@ -282,41 +289,36 @@ def run_robustness(config: dict | None = None, outdir: str | None = None) -> dic
     H = reports[flip.name].entropy
     lo = H - float(parse_rational(cfg["lz_low_slack"]))
     hi = H + float(parse_rational(cfg["lz_high_slack"]))
-    summary["checks"].append(
-        {
-            "name": f"flip chain: lz78 final ratio within [{lo:.4f}, {hi:.4f}]",
-            "passed": lo <= float(reports[flip.name].final_ratio) <= hi,
-            "values": {"ratio": float(reports[flip.name].final_ratio), "H": H},
-        }
-    )
+    flip_ratio = float(reports[flip.name].final_ratio)
     rnd = float(reports[fair.name].final_ratio)
-    summary["checks"].append(
-        {
-            "name": "fair coin: lz78 final ratio within the incompressibility band",
-            "passed": float(parse_rational(cfg["random_ratio_low"]))
-            <= rnd
-            <= float(parse_rational(cfg["random_ratio_high"])),
-            "values": {"ratio": rnd},
-        }
-    )
+    rnd_lo = float(parse_rational(cfg["random_ratio_low"]))
+    rnd_hi = float(parse_rational(cfg["random_ratio_high"]))
     blocks = reports[flip.name].block_final
     ordered = [blocks[N] for N in sorted(blocks)]
-    summary["checks"].append(
-        {
-            "name": "flip chain: block ratios decrease with block length",
-            "passed": all(a > b for a, b in zip(ordered, ordered[1:])),
-            "values": {str(N): float(v) for N, v in blocks.items()},
-        }
-    )
     largest = max(blocks)
     tol = float(parse_rational(cfg["block_tolerance"]))
-    summary["checks"].append(
-        {
-            "name": f"flip chain: block N={largest} ratio within {tol} of H",
-            "passed": abs(float(blocks[largest]) - H) <= tol,
-            "values": {"ratio": float(blocks[largest]), "H": H},
-        }
-    )
+    summary["checks"] += [
+        _check(
+            f"flip chain: lz78 final ratio within [{lo:.4f}, {hi:.4f}]",
+            lo <= flip_ratio <= hi,
+            {"ratio": flip_ratio, "H": H},
+        ),
+        _check(
+            "fair coin: lz78 final ratio within the incompressibility band",
+            rnd_lo <= rnd <= rnd_hi,
+            {"ratio": rnd},
+        ),
+        _check(
+            "flip chain: block ratios decrease with block length",
+            all(a > b for a, b in zip(ordered, ordered[1:])),
+            {str(N): float(v) for N, v in blocks.items()},
+        ),
+        _check(
+            f"flip chain: block N={largest} ratio within {tol} of H",
+            abs(float(blocks[largest]) - H) <= tol,
+            {"ratio": float(blocks[largest]), "H": H},
+        ),
+    ]
     return _finish(summary, "robustness", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
@@ -351,50 +353,36 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
         curves[f"{source.name}_lz78"] = [
             (m, b, F(b, m)) for m, b in zip(lz_positions, lz_bits)
         ]
+        lz_ratio = float(F(lz_bits[-1], n_lz))
         summary["sources"][source.name] = {
             "entropy": H,
             "mixture_rate": mix_rate,
-            "lz78_final_ratio": float(F(lz_bits[-1], n_lz)),
+            "lz78_final_ratio": lz_ratio,
         }
-        summary["checks"].append(
-            {
-                "name": f"{source.name}: mixture rate within {tol} of H at n={n_mix}",
-                "passed": abs(mix_rate - H) <= tol,
-                "values": {"rate": mix_rate, "H": H},
-            }
-        )
-        summary["checks"].append(
-            {
-                "name": f"{source.name}: lz78 ratio in [H-{lo_slack}, H+{hi_slack}] at n={n_lz}",
-                "passed": H - lo_slack <= float(F(lz_bits[-1], n_lz)) <= H + hi_slack,
-                "values": {"ratio": float(F(lz_bits[-1], n_lz)), "H": H},
-            }
-        )
-        summary["checks"].append(
-            {
-                "name": f"{source.name}: lz78 curve stays above H - {lo_slack}",
-                "passed": all(F(b, m) >= H - lo_slack for m, b in zip(lz_positions, lz_bits)),
-                "values": {},
-            }
-        )
+        summary["checks"] += [
+            _check(
+                f"{source.name}: mixture rate within {tol} of H at n={n_mix}",
+                abs(mix_rate - H) <= tol,
+                {"rate": mix_rate, "H": H},
+            ),
+            _check(
+                f"{source.name}: lz78 ratio in [H-{lo_slack}, H+{hi_slack}] at n={n_lz}",
+                H - lo_slack <= lz_ratio <= H + hi_slack,
+                {"ratio": lz_ratio, "H": H},
+            ),
+            _check(
+                f"{source.name}: lz78 curve stays above H - {lo_slack}",
+                all(F(b, m) >= H - lo_slack for m, b in zip(lz_positions, lz_bits)),
+                {},
+            ),
+        ]
     return _finish(summary, "universality", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
 def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dict:
     cfg = merge_config(DEFICIENCY_DEFAULTS, config)
     seed = int(cfg["seed"])
-    params = ConstructionParams(
-        r=parse_rational(cfg["r"]),
-        h0=int(cfg["h0"]),
-        fold_schedule=tuple(cfg["fold_schedule"]),
-    )
-    construction = Construction(params)
-    trace = build_alpha(
-        construction,
-        _spec_list(cfg),
-        initial_length=int(cfg["initial_length"]),
-        seed=stream_seed(seed, "deficiency-alpha"),
-    )
+    construction, trace = _alpha_trace(cfg, "deficiency-alpha")
     alpha = trace.bits
     mixture = MixtureCoder(int(cfg["mixture_kmax"]))
     scale = int(cfg["sigma_scale"])
@@ -425,26 +413,24 @@ def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dic
         "control_curve": control_points,
         "control_bound": bound,
         "checks": [
-            {
-                "name": f"alpha surrogate deficiency <= sigma(n) + {c0} at all checkpoints",
-                "passed": all(p["dhat"] <= p["sigma"] + c0 for p in alpha_points),
-                "values": {str(p["n"]): p["dhat"] for p in alpha_points},
-            },
-            {
-                "name": f"control deficiency exceeds 0.5 n log2(1/(1-r)) = {bound:.4f} at n={cfg['control_n']}",
-                "passed": final_control > bound,
-                "values": {"dhat": final_control, "bound": bound},
-            },
+            _check(
+                f"alpha surrogate deficiency <= sigma(n) + {c0} at all checkpoints",
+                all(p["dhat"] <= p["sigma"] + c0 for p in alpha_points),
+                {str(p["n"]): p["dhat"] for p in alpha_points},
+            ),
+            _check(
+                f"control deficiency exceeds 0.5 n log2(1/(1-r)) = {bound:.4f} at n={cfg['control_n']}",
+                final_control > bound,
+                {"dhat": final_control, "bound": bound},
+            ),
         ],
     }
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sequence", "n", "dhat", "sigma_plus_c0"])
-    for p in alpha_points:
-        writer.writerow(["alpha", p["n"], f"{p['dhat']:.4f}", p["sigma"] + c0])
-    for p in control_points:
-        writer.writerow(["control", p["n"], f"{p['dhat']:.4f}", ""])
-    return _finish(summary, "deficiency", {"curves": buf.getvalue()}, outdir)
+    curves = csv_text(
+        ["sequence", "n", "dhat", "sigma_plus_c0"],
+        [["alpha", p["n"], f"{p['dhat']:.4f}", p["sigma"] + c0] for p in alpha_points]
+        + [["control", p["n"], f"{p['dhat']:.4f}", ""] for p in control_points],
+    )
+    return _finish(summary, "deficiency", {"curves": curves}, outdir)
 
 
 RUNNERS = {

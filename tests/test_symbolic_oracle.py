@@ -27,8 +27,8 @@ from family import (
     reference_wd_enum,
 )
 from lzlab._util import parse_rational, stream_seed
-from lzlab.construction import Construction, ConstructionParams, build_alpha
-from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _spec_list
+from lzlab.construction import Construction, ConstructionParams
+from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _alpha_trace
 from lzlab.intervals import (
     Column,
     Gadget,
@@ -216,10 +216,8 @@ def deficiency_words():
     """The default deficiency construction, and its alpha trace and fair-coin
     control word as ``run_deficiency`` draws them."""
     cfg = DEFICIENCY_DEFAULTS
-    construction = Construction(ConstructionParams(
-        r=parse_rational(cfg["r"]), h0=cfg["h0"], fold_schedule=tuple(cfg["fold_schedule"])))
-    alpha = build_alpha(construction, _spec_list(cfg), initial_length=cfg["initial_length"],
-                        seed=stream_seed(cfg["seed"], "deficiency-alpha")).bits
+    construction, trace = _alpha_trace(cfg, "deficiency-alpha")
+    alpha = trace.bits
     control = bernoulli(F(1, 2)).sample(stream_seed(cfg["seed"], "deficiency-control"), cfg["control_n"])
     return construction, {"alpha": alpha, "control": control}
 
