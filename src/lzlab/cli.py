@@ -9,14 +9,15 @@ and gadget dumps are JSON.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
 from ._util import format_rational, parse_rational, write_atomic, write_json_atomic
 from .bitio import read_bits_file, write_bits_file
-from .construction import Construction, ConstructionParams, FragmentSpec, build_alpha, heights_schedule
+from .construction import Construction, ConstructionParams, build_alpha, heights_schedule
 from .deficiency import deficiency_curve
 from .ktmix import MixtureCoder, QuantizedMixturePredictor
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_curve
@@ -24,19 +25,16 @@ from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 from .symbolic import gadget_to_json, well_distributedness_mfold
 from . import arith, experiments
 
-F = Fraction
-
 
 def _make_coder(args):
     if args.coder == "lz78":
         return LZ78Coder()
     if args.coder == "lzwin":
-        window = getattr(args, "window", None)
-        return LZWindowCoder(window if window and window > 0 else None)
+        return LZWindowCoder(None if args.window == 0 else args.window)
     if args.coder == "block":
-        return BlockCoder(getattr(args, "block", 4096) or 4096, LZ78Coder())
+        return BlockCoder(args.block, LZ78Coder())
     if args.coder == "mixture":
-        return MixtureCoder(getattr(args, "kmax", 8) or 8)
+        return MixtureCoder(args.kmax)
     raise SystemExit(f"unknown coder {args.coder}")
 
 
@@ -59,7 +57,7 @@ def _construction_from_args(args) -> Construction:
         h0=args.h0,
         fold_schedule=tuple(int(v) for v in args.folds.split(",")),
         mode=args.mode,
-        sigma=_sigma_from_spec(args.sigma) if getattr(args, "sigma", None) else None,
+        sigma=_sigma_from_spec(args.sigma) if args.sigma else None,
     )
     return Construction(params)
 
@@ -69,6 +67,30 @@ def _sigma_from_spec(spec):
         return lambda n: n
     with open(spec) as fh:
         return json.load(fh)
+
+
+def _write_csv(path: str | None, text: str, checkpoints: int) -> None:
+    """Write CSV text to ``path``, or to stdout when no path is given."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        write_atomic(path, text)
+        print(f"wrote {checkpoints} checkpoints to {path}")
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-str conversion for the exact
+    rationals and column counts a command prints; restore it on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_encode(args):
@@ -91,8 +113,7 @@ def cmd_ratio_curve(args):
     coder = _make_coder(args)
     word = read_bits_file(args.infile)
     curve = ratio_curve(coder, word, args.stride)
-    write_atomic(args.csv, experiments.curve_csv(curve.points))
-    print(f"wrote {len(curve.points)} checkpoints to {args.csv}")
+    _write_csv(args.csv, experiments.curve_csv(curve.points), len(curve.points))
 
 
 def cmd_mixture(args):
@@ -106,8 +127,6 @@ def cmd_mixture(args):
     neg_log = 0.0
     acc = {}
     want = set(positions)
-    import math
-
     for t, ch in enumerate(word, start=1):
         c = pred.prob0_scaled()
         p0 = c / (1 << arith.PROB_BITS)
@@ -116,57 +135,56 @@ def cmd_mixture(args):
         pred.update(bit)
         if t in want:
             acc[t] = neg_log
-    out = sys.stdout if args.csv is None else open(args.csv, "w", newline="")
-    writer = csv.writer(out)
-    writer.writerow(["n", "neg_log_rho_per_symbol", "code_bits"])
-    for n, b in zip(positions, bits):
-        writer.writerow([n, f"{acc[n] / n:.8f}", b])
-    if out is not sys.stdout:
-        out.close()
-        print(f"wrote {len(positions)} checkpoints to {args.csv}")
+    text = experiments.csv_text(
+        ["n", "neg_log_rho_per_symbol", "code_bits"],
+        ([n, f"{acc[n] / n:.8f}", b] for n, b in zip(positions, bits)),
+    )
+    _write_csv(args.csv, text, len(positions))
 
 
 def cmd_gadget(args):
     c = _construction_from_args(args)
     stage = c.stage(args.stage)
-    if args.action == "stats":
-        info = {
-            "stage": args.stage,
-            "pi": {
-                "width": format_rational(stage.pi.width),
-                "support": format_rational(stage.pi.support),
-                "min_height": stage.pi.min_height,
-                "max_height": stage.pi.max_height,
-                "columns": str(stage.pi.ncols),
-            },
-            "delta": {
-                "width": format_rational(stage.delta.width),
-                "support": format_rational(stage.delta.support),
-                "uniform_height": stage.delta.uniform_height,
-            },
-            "fold_count": stage.r_used,
-            "wd_value": None if stage.wd_value is None else format_rational(stage.wd_value),
-            "wd_method": stage.wd_method,
-            "diagnostics": {
-                k: (format_rational(v) if isinstance(v, Fraction) else v)
-                for k, v in stage.diagnostics.items()
-            },
-        }
-        json.dump(info, sys.stdout, indent=2)
-        print()
-    elif args.action == "dump":
-        payload = {"pi": gadget_to_json(stage.phi)}
-        if args.out:
-            write_json_atomic(args.out, payload)
-            print(f"wrote gadget dump to {args.out}")
-        else:
-            json.dump(payload, sys.stdout)
-            print()
-    elif args.action == "wd":
+    if args.action == "wd":
         s = args.against if args.against is not None else args.stage
         st = c.stage(s)
         value = well_distributedness_mfold(st.fold_base, st.r_used)
-        print(f"stage {s}: wd = {format_rational(value)} ({float(value):.6f})")
+    with _unlimited_int_digits():
+        if args.action == "stats":
+            info = {
+                "stage": args.stage,
+                "pi": {
+                    "width": format_rational(stage.pi.width),
+                    "support": format_rational(stage.pi.support),
+                    "min_height": stage.pi.min_height,
+                    "max_height": stage.pi.max_height,
+                    "columns": str(stage.pi.ncols),
+                },
+                "delta": {
+                    "width": format_rational(stage.delta.width),
+                    "support": format_rational(stage.delta.support),
+                    "uniform_height": stage.delta.uniform_height,
+                },
+                "fold_count": stage.r_used,
+                "wd_value": None if stage.wd_value is None else format_rational(stage.wd_value),
+                "wd_method": stage.wd_method,
+                "diagnostics": {
+                    k: (format_rational(v) if isinstance(v, Fraction) else v)
+                    for k, v in stage.diagnostics.items()
+                },
+            }
+            json.dump(info, sys.stdout, indent=2)
+            print()
+        elif args.action == "dump":
+            payload = {"pi": gadget_to_json(stage.phi)}
+            if args.out:
+                write_json_atomic(args.out, payload)
+                print(f"wrote gadget dump to {args.out}")
+            else:
+                json.dump(payload, sys.stdout)
+                print()
+        else:
+            print(f"stage {s}: wd = {format_rational(value)} ({float(value):.6f})")
 
 
 def cmd_theorem1(args):
@@ -181,10 +199,7 @@ def cmd_theorem1(args):
             )
     elif args.action == "alpha":
         c = _construction_from_args(args)
-        schedule = [
-            FragmentSpec(item["kind"], int(item["stage"]), int(item.get("parts", 1)))
-            for item in json.loads(args.schedule)
-        ][: args.steps]
+        schedule = experiments._spec_list(json.loads(args.schedule))[: args.steps]
         trace = build_alpha(c, schedule, initial_length=args.initial, seed=args.seed)
         write_bits_file(args.out, trace.bits)
         if args.trace:
@@ -208,14 +223,8 @@ def cmd_deficiency(args):
     coder = LZ78Coder() if args.code == "lz78" else MixtureCoder(args.kmax)
     word = read_bits_file(args.infile)
     curve = deficiency_curve(word, measure, code=coder, stride=args.stride)
-    out = sys.stdout if args.csv is None else open(args.csv, "w", newline="")
-    writer = csv.writer(out)
-    writer.writerow(["n", "dhat"])
-    for n, d in curve.points:
-        writer.writerow([n, f"{d:.6f}"])
-    if out is not sys.stdout:
-        out.close()
-        print(f"wrote {len(curve.points)} checkpoints to {args.csv}")
+    text = experiments.csv_text(["n", "dhat"], ([n, f"{d:.6f}"] for n, d in curve.points))
+    _write_csv(args.csv, text, len(curve.points))
 
 
 def cmd_source(args):
@@ -259,31 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lzlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="encode a bitstream file")
-    p.add_argument("--coder", required=True, choices=["lz78", "lzwin", "block", "mixture"])
-    p.add_argument("--window", type=int, default=0, help="lzwin window; 0 = unbounded")
-    p.add_argument("--block", type=int, default=4096)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--in", dest="infile", required=True)
+    coder = argparse.ArgumentParser(add_help=False)
+    coder.add_argument("--coder", required=True, choices=["lz78", "lzwin", "block", "mixture"])
+    coder.add_argument("--window", type=int, default=0, help="lzwin window; 0 = unbounded")
+    coder.add_argument("--block", type=int, default=4096)
+    coder.add_argument("--kmax", type=int, default=8)
+    coder.add_argument("--in", dest="infile", required=True)
+
+    p = sub.add_parser("encode", parents=[coder], help="encode a bitstream file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="decode a codeword file")
-    p.add_argument("--coder", required=True, choices=["lz78", "lzwin", "block", "mixture"])
-    p.add_argument("--window", type=int, default=0)
-    p.add_argument("--block", type=int, default=4096)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("decode", parents=[coder], help="decode a codeword file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("ratio-curve", help="compression-ratio curve as CSV")
-    p.add_argument("--coder", required=True, choices=["lz78", "lzwin", "block", "mixture"])
-    p.add_argument("--window", type=int, default=0)
-    p.add_argument("--block", type=int, default=4096)
-    p.add_argument("--kmax", type=int, default=8)
+    p = sub.add_parser("ratio-curve", parents=[coder], help="compression-ratio curve as CSV")
     p.add_argument("--stride", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--csv", required=True)
     p.set_defaults(func=cmd_ratio_curve)
 

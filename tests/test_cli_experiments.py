@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -106,6 +107,51 @@ def test_gadget_wd_prints_value(capsys):
     main(["gadget", "wd", "--stage", "1", "--h0", "2", "--folds", "2,2"])
     out = capsys.readouterr().out
     assert "wd =" in out
+
+
+def test_gadget_commands_print_integers_past_the_digit_limit(tmp_path, capsys):
+    # stage 6 rationals have more than the interpreter's 4,300-digit default
+    # for int-to-str conversion; each command must print them in full and
+    # leave the limit as it found it
+    limit = sys.get_int_max_str_digits()
+    flags = ["--stage", "6", "--h0", "16", "--folds", "4,4,4,4,2,2,2,2,2"]
+    main(["gadget", "wd", *flags])
+    num = capsys.readouterr().out.split("wd = ")[1].split("/")[0]
+    assert len(num) > 4300
+    main(["gadget", "stats", *flags])
+    info = json.loads(capsys.readouterr().out)
+    assert len(info["pi"]["columns"]) > 4300
+    assert len(info["wd_value"]) > 4300
+    dump = tmp_path / "g.json"
+    main(["gadget", "dump", *flags, "--out", str(dump)])
+    nodes = json.loads(dump.read_text())["pi"]["nodes"]
+    assert max(len(n["columns"]) for n in nodes.values()) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--coder", "mixture", "--kmax", "0"], "mixture0"),
+        (["--coder", "mixture"], "mixture8"),
+        (["--coder", "block", "--block", "0"], ValueError),
+        (["--coder", "block", "--block", "-3"], ValueError),
+        (["--coder", "block", "--block", "64"], "block64-lz78"),
+        (["--coder", "lzwin", "--window", "-5"], ValueError),
+        (["--coder", "lzwin", "--window", "0"], "lzwin"),
+        (["--coder", "lzwin", "--window", "16"], "lzwin16"),
+    ],
+)
+def test_coder_flags_taken_as_given(tmp_path, capsys, flags, name):
+    src = tmp_path / "w.bits"
+    write_bits_file(str(src), "0110" * 64)
+    argv = ["encode", *flags, "--in", str(src), "--out", str(tmp_path / "w.code")]
+    if name is ValueError:
+        with pytest.raises(ValueError):
+            main(argv)
+    else:
+        main(argv)
+        assert capsys.readouterr().out.startswith(f"{name}: 256 symbols -> ")
 
 
 def test_theorem1_cli_flow(tmp_path, capsys):
