@@ -29,6 +29,15 @@ DEFICIENCY_LZ78_CSV_SHA256 = "047e403d5c3e07711b0d31fd806b7600df6951a321b26455c6
 DEFICIENCY_MIXTURE_CSV_SHA256 = "be304dc770dd6f1fb0b12ce9f7c9df57024e2a66917caea9afcba1d3d7b84bee"
 ALPHA_BITS_SHA256 = "235777f49f7756c5e8fbb83daebcd412acf07c1560ad883861639e9195280242"
 ALPHA_TRACE_SHA256 = "d1e3343546afbabb7b581c16f78b1cf4890558733059cd0448500b78a0e212ad"
+# the stdout text of `gadget stats` and `theorem1 build`, well-distributedness
+# included, byte for byte: wd "none" at stage 0, "exact" at stage 2 and
+# "skipped" past stage 6
+GADGET_STATS_STDOUT_SHA256 = {
+    ("0", "4", "2,2"): "989273b2e8cdd901bac36b4a5b4ab3c30fc7057143ab44be9b40bc4a75b7ef51",
+    ("2", "4", "2,2"): "2867832757100c22ec3b10e0ab077a3ef1d1aba27b56b454e444b5b036926a56",
+    ("7", "16", "4,4,4,4,2,2,2,2,2"): "155d22703b82ba921f727219ad18811dec7dea0dca01157822ca14e30217ce1f",
+}
+THEOREM1_BUILD_STDOUT_SHA256 = "da2e8b31d5be1c3e50bb95f236b3763dd169dfd3d77f072c891d0f9c3d01bdf8"
 
 
 def _sha256(data: bytes) -> str:
@@ -101,6 +110,10 @@ def test_gadget_stats_and_dump(tmp_path, capsys):
     nodes = payload["pi"]["nodes"]
     assert any(n["kind"] == "mfold" for n in nodes.values())
     assert any("base_columns" in n for n in nodes.values())
+    assert capsys.readouterr().out == f"wrote gadget dump to {dump}\n"
+    for (stage, h0, folds), want in GADGET_STATS_STDOUT_SHA256.items():
+        main(["gadget", "stats", "--stage", stage, "--h0", h0, "--folds", folds])
+        assert _sha256(capsys.readouterr().out.encode()) == want, stage
 
 
 def test_gadget_wd_prints_value(capsys):
@@ -157,6 +170,8 @@ def test_coder_flags_taken_as_given(tmp_path, capsys, flags, name):
 def test_theorem1_cli_flow(tmp_path, capsys):
     main(["theorem1", "heights", "--sigma", "id", "--r", "1/256", "--stages", "3"])
     assert capsys.readouterr().out.split() == ["1", "23", "46", "70"]
+    main(["theorem1", "build", "--h0", "16", "--folds", "4,4,4,4,2,2,2,2,2", "--stages", "7"])
+    assert _sha256(capsys.readouterr().out.encode()) == THEOREM1_BUILD_STDOUT_SHA256
     out = tmp_path / "alpha.bits"
     trace = tmp_path / "alpha.json"
     sched = json.dumps(
