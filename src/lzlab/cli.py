@@ -13,11 +13,10 @@ import contextlib
 import json
 import math
 import sys
-from fractions import Fraction
 
 from ._util import format_rational, parse_rational, write_atomic, write_json_atomic
 from .bitio import read_bits_file, write_bits_file
-from .construction import Construction, ConstructionParams, build_alpha, heights_schedule
+from .construction import Construction, ConstructionParams, StageFailure, build_alpha, heights_schedule
 from .deficiency import deficiency_curve
 from .ktmix import MixtureCoder, QuantizedMixturePredictor
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_curve
@@ -144,36 +143,34 @@ def cmd_mixture(args):
 
 def cmd_gadget(args):
     c = _construction_from_args(args)
-    stage = c.stage(args.stage)
-    if args.action == "wd":
-        s = args.against if args.against is not None else args.stage
-        st = c.stage(s)
-        value = well_distributedness_mfold(st.fold_base, st.r_used)
+    try:
+        stage = c.stage(args.stage)
+    except StageFailure as exc:
+        raise SystemExit(str(exc))
     with _unlimited_int_digits():
         if args.action == "stats":
+            value, method = c.wd(args.stage)
+            wd = {"wd_value": value, "wd_method": method}
+            # json.dump writes every Fraction through format_rational
             info = {
                 "stage": args.stage,
                 "pi": {
-                    "width": format_rational(stage.pi.width),
-                    "support": format_rational(stage.pi.support),
+                    "width": stage.pi.width,
+                    "support": stage.pi.support,
                     "min_height": stage.pi.min_height,
                     "max_height": stage.pi.max_height,
                     "columns": str(stage.pi.ncols),
                 },
                 "delta": {
-                    "width": format_rational(stage.delta.width),
-                    "support": format_rational(stage.delta.support),
+                    "width": stage.delta.width,
+                    "support": stage.delta.support,
                     "uniform_height": stage.delta.uniform_height,
                 },
                 "fold_count": stage.r_used,
-                "wd_value": None if stage.wd_value is None else format_rational(stage.wd_value),
-                "wd_method": stage.wd_method,
-                "diagnostics": {
-                    k: (format_rational(v) if isinstance(v, Fraction) else v)
-                    for k, v in stage.diagnostics.items()
-                },
+                **wd,
+                "diagnostics": {**stage.diagnostics, **wd} if args.stage else {},
             }
-            json.dump(info, sys.stdout, indent=2)
+            json.dump(info, sys.stdout, indent=2, default=format_rational)
             print()
         elif args.action == "dump":
             payload = {"pi": gadget_to_json(stage.phi)}
@@ -184,6 +181,11 @@ def cmd_gadget(args):
                 json.dump(payload, sys.stdout)
                 print()
         else:
+            s = args.against if args.against is not None else args.stage
+            if s < 1:
+                raise SystemExit(f"stage {s} has no fold count; well-distributedness needs a stage >= 1")
+            st = c.stage(s)
+            value = well_distributedness_mfold(st.fold_base, st.r_used)
             print(f"stage {s}: wd = {format_rational(value)} ({float(value):.6f})")
 
 
@@ -192,7 +194,8 @@ def cmd_theorem1(args):
         c = _construction_from_args(args)
         for s in range(args.stages + 1):
             st = c.stage(s)
-            wd = "-" if st.wd_value is None else f"{float(st.wd_value):.4f}"
+            value, _ = c.wd(s)
+            wd = "-" if value is None else f"{float(value):.4f}"
             print(
                 f"stage {s}: fold={st.r_used} heights[{st.phi.min_height},"
                 f"{st.phi.max_height}] delta_mass={format_rational(st.delta.support)} wd={wd}"

@@ -13,9 +13,9 @@ Two modes:
 * faithful -- heights follow the growth-function schedule and every stage
   must certify well-distributedness < 1/s exactly; this is only feasible for
   the first stage or two and exists for the exact-identity tests.
-* empirical -- fold counts come from an explicit per-stage schedule, heights
-  are desk-scale, and well-distributedness is recorded when an exact
-  strategy applies (and marked infeasible otherwise).
+* empirical -- fold counts come from an explicit per-stage schedule and
+  heights are desk-scale; nothing is certified while building, and
+  ``Construction.wd`` computes a stage's well-distributedness on request.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .symbolic import (
 )
 
 F = Fraction
+
+# exact well-distributedness rationals blow up with depth; Construction.wd
+# skips empirical stages past this one
+WD_STAGE_CAP = 6
 
 
 class SigmaExhausted(RuntimeError):
@@ -117,9 +121,6 @@ class ConstructionParams:
     sigma: object = None
     stage_cap: int = 24
     wd_mcap: int = 512
-    # diagnostic well-distributedness is exact but its rationals blow up
-    # with depth; stages beyond this cap record "skipped" in empirical mode
-    wd_stage_cap: int = 6
 
     def __post_init__(self):
         self.r = F(self.r)
@@ -144,9 +145,7 @@ class Stage:
     fold_base: SymbolicGadget | None
     delta_second: SymbolicGadget | None
     r_used: int | None
-    wd_value: Fraction | None
-    wd_method: str
-    phi: SymbolicGadget = None
+    phi: SymbolicGadget
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -177,32 +176,35 @@ class Construction:
         pi0 = base_node(Gadget(pi_cols))
         assert delta0.support == 2 * r
         assert pi0.support == 1 - 2 * r
-        st = Stage(0, pi0, delta0, None, None, None, None, "none")
-        st.phi = union(st.pi, st.delta)
-        return st
+        return Stage(0, pi0, delta0, None, None, None, union(pi0, delta0))
 
     def stage(self, s: int) -> Stage:
-        if s >= self.params.stage_cap:
-            raise StageFailure(f"stage {s} beyond the configured cap")
+        if not 0 <= s < self.params.stage_cap:
+            raise StageFailure(f"stage {s} is outside 0..{self.params.stage_cap - 1}")
         while len(self.stages) <= s:
             self.stages.append(self._build_stage(len(self.stages)))
         return self.stages[s]
 
-    def _fold_count(self, s: int, fold_base: SymbolicGadget, delta_prime: SymbolicGadget) -> tuple[int, Fraction | None, str]:
+    def wd(self, s: int) -> tuple[Fraction | None, str]:
+        """Stage s's well-distributedness and its method: "none" at stage 0,
+        "skipped" past WD_STAGE_CAP (empirical), else "exact" or "infeasible"."""
+        st = self.stage(s)
+        if s == 0:
+            return None, "none"
+        if self.params.mode == "empirical" and s > WD_STAGE_CAP:
+            return None, "skipped"
+        try:
+            return well_distributedness_mfold(st.fold_base, st.r_used), "exact"
+        except InfeasibleExact:
+            return None, "infeasible"
+
+    def _fold_count(self, s: int, fold_base: SymbolicGadget, delta_prime: SymbolicGadget) -> tuple[int, Fraction | None]:
         params = self.params
         if params.mode == "empirical":
             sched = params.fold_schedule
             if s - 1 >= len(sched):
                 raise StageFailure(f"fold schedule has no entry for stage {s}")
-            m = sched[s - 1]
-            if s > params.wd_stage_cap:
-                return m, None, "skipped"
-            try:
-                value = well_distributedness_mfold(fold_base, m)
-                method = "exact"
-            except InfeasibleExact:
-                value, method = None, "infeasible"
-            return m, value, method
+            return sched[s - 1], None
         # faithful: smallest fold count reaching the scheduled height and
         # certifying well-distributedness < 1/s
         if params.sigma is None:
@@ -220,36 +222,31 @@ class Construction:
                 f"stage {s}: no fold count up to {params.wd_mcap} certifies "
                 f"well-distributedness < 1/{s} (best {res.best_value} at {res.best_m})"
             )
-        return res.m, res.value, "exact"
+        return res.m, res.value
 
     def _build_stage(self, s: int) -> Stage:
         prev = self.stages[s - 1]
         delta_prime, delta_second = cut_symbolic(prev.delta, (F(1, 2), F(1, 2)))
         fold_base = union(prev.pi, delta_second)
-        m, wd_value, wd_method = self._fold_count(s, fold_base, delta_prime)
+        m, wd_value = self._fold_count(s, fold_base, delta_prime)
         pi_s = mfold(fold_base, m)
         delta_s = mfold(delta_prime, m)
-        r = self.params.r
-        expected_delta = F(2, 2**s) * r
+        expected_delta = F(2, 2**s) * self.params.r
         assert delta_s.support == expected_delta
         assert pi_s.support == 1 - expected_delta
         if self.params.mode == "faithful" and not (wd_value < F(1, s)):
             raise StageFailure(f"stage {s}: well-distributedness {wd_value} >= 1/{s}")
         gamma = delta_second.support / prev.pi.support
-        st = Stage(s, pi_s, delta_s, fold_base, delta_second, m, wd_value, wd_method)
-        st.phi = union(pi_s, delta_s)
         denom_printed = 1 - F(4, 2**s)
-        st.diagnostics = {
+        diagnostics = {
             "gamma": gamma,
             "gamma_alt_denominator": (expected_delta / denom_printed) if denom_printed > 0 else None,
             "routing_fraction": gamma / (1 + gamma),
             "delta_mass": delta_s.support,
             "pi_mass": pi_s.support,
             "fold_count": m,
-            "wd_value": wd_value,
-            "wd_method": wd_method,
         }
-        return st
+        return Stage(s, pi_s, delta_s, fold_base, delta_second, m, union(pi_s, delta_s), diagnostics)
 
     # -- measure oracle ----------------------------------------------------
 
@@ -456,12 +453,12 @@ class AlphaBuilder:
         by ones frequency.
         """
         k = len(self.fragments)
-        start = self.length
+        start, first = self.length, len(self.bits)
         self._fill_to_boundary(stage)
         for name in self._sample_extension(stage, parts):
             self._emit(name)
             self._bump(stage)
-        ext = "".join(self.bits)[start:]
+        ext = "".join(self.bits[first:])
         frag = Fragment(
             k,
             "sparse",

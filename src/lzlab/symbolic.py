@@ -39,6 +39,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .intervals import (
     Gadget,
@@ -709,14 +710,12 @@ def gadget_to_json(node: SymbolicGadget) -> dict:
     return {"root": root, "nodes": nodes}
 
 
-class RsSearch:
-    def __init__(self, found: bool, m: int | None, value: Fraction | None,
-                 best_m: int | None, best_value: Fraction | None):
-        self.found = found
-        self.m = m
-        self.value = value
-        self.best_m = best_m
-        self.best_value = best_value
+class RsSearch(NamedTuple):
+    found: bool
+    m: int | None
+    value: Fraction | None
+    best_m: int | None
+    best_value: Fraction | None
 
 
 def find_rs(node: SymbolicGadget, eps: Fraction, m_cap: int, m_min: int = 1) -> RsSearch:

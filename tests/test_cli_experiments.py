@@ -9,6 +9,7 @@ import pytest
 
 from lzlab.bitio import read_bits_file, write_bits_file
 from lzlab.cli import main
+from lzlab.construction import Construction, ConstructionParams, StageFailure
 from lzlab.experiments import (
     CSV_HEADER,
     DEFICIENCY_DEFAULTS,
@@ -120,6 +121,22 @@ def test_gadget_wd_prints_value(capsys):
     main(["gadget", "wd", "--stage", "1", "--h0", "2", "--folds", "2,2"])
     out = capsys.readouterr().out
     assert "wd =" in out
+
+
+def test_gadget_rejects_stages_without_a_fold_count():
+    # stage 0 has no fold base to measure well-distributedness against, and
+    # a negative stage is no stage at all: each is a one-line error
+    for argv in (
+        ["wd", "--stage", "0"],
+        ["wd", "--stage", "1", "--against", "0"],
+        ["wd", "--stage", "-1"],
+        ["stats", "--stage", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["gadget", *argv, "--h0", "4", "--folds", "2,2"])
+        assert isinstance(exc.value.code, str) and exc.value.code.startswith("stage "), argv
+    with pytest.raises(StageFailure):
+        Construction(ConstructionParams()).stage(-1)
 
 
 def test_gadget_commands_print_integers_past_the_digit_limit(tmp_path, capsys):

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from lzlab import construction
 from lzlab.construction import (
+    WD_STAGE_CAP,
     Construction,
     ConstructionParams,
     FragmentSpec,
@@ -16,6 +18,7 @@ from lzlab.construction import (
     sample_sparse_column,
     stage_height,
 )
+from lzlab.experiments import OSCILLATION_DEFAULTS, _alpha_trace, merge_config
 from lzlab.intervals import Gadget, completeness_check, transformation_extends
 from lzlab.symbolic import name_measure
 
@@ -118,17 +121,32 @@ def test_remark_uniformity_generic_dp_stages_up_to_3():
 def test_wd_recorded_every_stage_and_faithful_enforced():
     c = tiny_construction(stages=4)
     for s in range(1, 5):
-        st = c.stage(s)
-        assert st.wd_method == "exact"
-        assert 0 <= st.wd_value <= 2
+        value, method = c.wd(s)
+        assert method == "exact"
+        assert 0 <= value <= 2
+    assert c.wd(0) == (None, "none")
+    assert c.wd(WD_STAGE_CAP + 1) == (None, "skipped")
     # faithful mode: stage 1 certifies wd < 1/1 with the growth schedule
     p = ConstructionParams(
         r=F(1, 128), epsilon=F(6, 25), h0=2, mode="faithful", sigma=lambda n: n, wd_mcap=256
     )
     c2 = Construction(p)
     st1 = c2.stage(1)
-    assert st1.wd_value < 1
+    assert c2.wd(1)[0] < 1
     assert st1.pi.min_height >= 2 * heights_schedule(lambda n: n, F(1, 128), 3)[3]
+
+
+def test_building_computes_no_well_distributedness(monkeypatch):
+    def refuse(node, M):
+        raise AssertionError("well-distributedness computed while building")
+
+    monkeypatch.setattr(construction, "well_distributedness_mfold", refuse)
+    # the codec benchmark's stages, and the runners benchmark's oscillation trace
+    schedule = tuple(OSCILLATION_DEFAULTS["fold_schedule"])
+    Construction(ConstructionParams(r=F(1, 256), h0=64, fold_schedule=schedule)).stage(6)
+    cfg = merge_config(OSCILLATION_DEFAULTS, {"h0": 16, "initial_length": 24, "min_length": 1 << 17})
+    _, trace = _alpha_trace(cfg, "alpha")
+    assert trace.bits
 
 
 @pytest.fixture(scope="module")

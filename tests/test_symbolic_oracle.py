@@ -27,7 +27,7 @@ from family import (
     reference_wd_enum,
 )
 from lzlab._util import parse_rational, stream_seed
-from lzlab.construction import Construction, ConstructionParams
+from lzlab.construction import WD_STAGE_CAP, Construction, ConstructionParams
 from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _alpha_trace
 from lzlab.intervals import (
     Column,
@@ -272,14 +272,14 @@ def _construction(name):
 
 
 def _certified_stages(construction):
-    """Stages 1.. whose fold count the construction certifies exactly."""
-    cap = construction.params.wd_stage_cap
-    return [construction.stage(s) for s in range(1, cap + 1)]
+    """Stages 1.. whose well-distributedness the construction reports exactly."""
+    return [construction.stage(s) for s in range(1, WD_STAGE_CAP + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
 def test_moments_and_wd_equal_reference_at_stage_scale(name):
-    for stage in _certified_stages(_construction(name)):
+    construction = _construction(name)
+    for stage in _certified_stages(construction):
         node, M = stage.fold_base, stage.r_used
         cache = {}
         for p in range(M + 2):
@@ -293,8 +293,7 @@ def test_moments_and_wd_equal_reference_at_stage_scale(name):
         else:
             assert closed
             want = reference_wd_closed(node, M, cache)
-        assert stage.wd_method == "exact"
-        assert stage.wd_value == want, stage.s
+        assert construction.wd(stage.s) == (want, "exact"), stage.s
 
 
 def test_sample_column_equals_reference_on_codec_fold_bases():
