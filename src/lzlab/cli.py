@@ -143,10 +143,7 @@ def cmd_mixture(args):
 
 def cmd_gadget(args):
     c = _construction_from_args(args)
-    try:
-        stage = c.stage(args.stage)
-    except StageFailure as exc:
-        raise SystemExit(str(exc))
+    stage = c.stage(args.stage)
     with _unlimited_int_digits():
         if args.action == "stats":
             value, method = c.wd(args.stage)
@@ -190,6 +187,8 @@ def cmd_gadget(args):
 
 
 def cmd_theorem1(args):
+    if args.stages < 0:
+        raise SystemExit(f"--stages {args.stages} is negative")
     if args.action == "build":
         c = _construction_from_args(args)
         for s in range(args.stages + 1):
@@ -354,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except StageFailure as exc:  # a construction that cannot build a stage
+        raise SystemExit(str(exc)) from None
     return 0
 
 

@@ -212,6 +212,34 @@ def test_theorem1_cli_flow(tmp_path, capsys):
     assert len(read_bits_file(str(sample))) == 500
 
 
+def test_stage_failures_are_one_line_errors(tmp_path, capsys):
+    # past the fold schedule, every command that builds stages stops with
+    # the StageFailure message as its exit message, not a traceback
+    src = tmp_path / "w.bits"
+    write_bits_file(str(src), "".join(random.Random(4).choice("01") for _ in range(2048)))
+    flags = ["--h0", "4", "--folds", "2"]
+    for argv in (
+        ["theorem1", "build", "--stages", "3", *flags],
+        ["theorem1", "alpha", *flags, "--initial", "8", "--out", str(tmp_path / "a.bits")],
+        ["theorem1", "sample", *flags, "--len", "500", "--out", str(tmp_path / "s.bits")],
+        ["deficiency", "--measure", "theorem1", *flags, "--in", str(src), "--stride", "1024"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "fold schedule has no entry for stage 2", argv
+    # build prints the stages it could build before it stops
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["stage 0", "stage 1"]
+    assert not (tmp_path / "a.bits").exists() and not (tmp_path / "s.bits").exists()
+
+
+def test_theorem1_rejects_negative_stages(capsys):
+    for action in ("build", "heights"):
+        with pytest.raises(SystemExit) as exc:
+            main(["theorem1", action, "--sigma", "id", "--stages", "-2"])
+        assert exc.value.code == "--stages -2 is negative", action
+    assert capsys.readouterr().out == ""
+
+
 def test_deficiency_cli(tmp_path, capsys):
     src = tmp_path / "w.bits"
     out = tmp_path / "d.csv"
