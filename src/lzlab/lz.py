@@ -9,7 +9,9 @@ Two variants are implemented:
 * ``LZWindowCoder`` -- greedy longest match against all previous symbols, or
   against the previous ``window`` symbols; the source start must lie in the
   window but the copy may overlap the current position.  Smallest offset
-  wins among longest matches.
+  wins among longest matches.  The unbounded coder walks a suffix automaton
+  for the match length; both find the nearest source by forward search on
+  the reversed input.
 
 Every codeword is self-delimiting, so concatenated codewords decode
 unambiguously (the separating property).  Each coder's ``prefix_bits``
@@ -164,6 +166,50 @@ class LZ78Coder:
         return [at[n] for n in positions]
 
 
+def _nearest_source(rev: str, i: int, L: int, lo: int, hi: int) -> int:
+    """Largest p in [lo, hi], hi < i, with x[p:p+L] == x[i:i+L], or -1.
+
+    ``rev`` is x reversed, where that source is the *first* occurrence of
+    the reversed pattern at or after n - hi - L: CPython's forward search
+    falls back to the two-way algorithm, its reverse search has none.
+    """
+    n = len(rev)
+    q = rev.find(rev[n - i - L : n - i], n - hi - L, n - lo)
+    return -1 if q < 0 else n - L - q
+
+
+def _extend_match(x: str, p: int, i: int, k: int, limit: int) -> int:
+    """Largest m <= limit with x[p:p+m] == x[i:i+m], given that k symbols
+    already match: slice comparisons of doubling, then halving, length."""
+    step = 1
+    while k + step <= limit and x[p + k : p + k + step] == x[i + k : i + k + step]:
+        k += step
+        step *= 2
+    step //= 2
+    while step:
+        if k + step <= limit and x[p + k : p + k + step] == x[i + k : i + k + step]:
+            k += step
+        step //= 2
+    return k
+
+
+def _window_match(x: str, rev: str, i: int, lo: int) -> tuple[int, int]:
+    """(L, source) of the longest match of x[i:] with source start in
+    [lo, i), smallest offset on ties; (0, -1) if there is none.
+
+    Each search looks for one symbol more than the best match so far, and
+    only behind the last source found: sources nearer i matched less.
+    """
+    limit = len(x) - i
+    L, src, hi = 0, -1, i - 1
+    while L < limit:
+        p = _nearest_source(rev, i, L + 1, lo, hi)
+        if p < 0:
+            break
+        L, src, hi = _extend_match(x, p, i, L + 1, limit), p, p - 1
+    return L, src
+
+
 class LZWindowCoder:
     """Variant-2 coder: (offset, length, next symbol) triples via encode_int."""
 
@@ -173,40 +219,19 @@ class LZWindowCoder:
         self.window = window
         self.name = "lzwin" if window is None else f"lzwin{window}"
 
-    def _longest_match(self, x: str, i: int, limit: int, sam) -> tuple[int, int]:
-        """Return (L, source) of the longest match, smallest offset on ties."""
-        if self.window is None:
-            L = sam.longest_match_before(x, i, limit)
-            if L == 0:
-                return 0, -1
-            return L, x.rfind(x[i : i + L], 0, i + L - 1)
-        lo = max(0, i - self.window)
-        # gallop then binary search: matchability is monotone in L
-        ok = 0
-        step = 1
-        while ok + step <= limit and x.rfind(x[i : i + ok + step], lo, i + ok + step - 1) != -1:
-            ok += step
-            step *= 2
-        lo_L, hi_L = ok, min(limit, ok + step)
-        while lo_L < hi_L:
-            mid = (lo_L + hi_L + 1) // 2
-            if x.rfind(x[i : i + mid], lo, i + mid - 1) != -1:
-                lo_L = mid
-            else:
-                hi_L = mid - 1
-        L = lo_L
-        if L == 0:
-            return 0, -1
-        return L, x.rfind(x[i : i + L], lo, i + L - 1)
-
     def _parse(self, x: str) -> list[tuple[int, int, int, bool]]:
         """List of (start, match_len, source, has_symbol)."""
         n = len(x)
+        rev = x[::-1]
         sam = SuffixAutomaton(x) if self.window is None else None
         phrases = []
         i = 0
         while i < n:
-            L, src = self._longest_match(x, i, n - i, sam)
+            if sam is None:
+                L, src = _window_match(x, rev, i, max(0, i - self.window))
+            else:
+                L = sam.longest_match_before(x, i, n - i)
+                src = _nearest_source(rev, i, L, 0, i - 1) if L else -1
             has_sym = i + L < n
             phrases.append((i, L, src, has_sym))
             i += L + (1 if has_sym else 0)
@@ -239,6 +264,8 @@ class LZWindowCoder:
             p += u
             lenfield, u = decode_int(payload, p)
             p += u
+            if self.window is not None and offset > self.window:
+                raise MalformedInput("window offset beyond the window")
             L = lenfield - 1
             if L > 0:
                 srcpos = len(out) - offset
@@ -252,9 +279,10 @@ class LZWindowCoder:
         return "".join(out), used
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
-        """Exact codeword length of every prefix; one parse plus one rfind
-        per checkpoint that truncates a phrase."""
+        """Exact codeword length of every prefix; one parse plus one source
+        search per checkpoint that truncates a phrase."""
         phrases = self._parse(x)
+        rev = x[::-1]
         # cumulative payload bits after each phrase
         cum = [0]
         for i, L, src, has_sym in phrases:
@@ -275,7 +303,7 @@ class LZWindowCoder:
                     Lp = n - i
                     if Lp > 0:
                         lo = 0 if self.window is None else max(0, i - self.window)
-                        srcp = x.rfind(x[i : i + Lp], lo, i + Lp - 1)
+                        srcp = _nearest_source(rev, i, Lp, lo, i - 1)
                         pl += len(self._triple_bits(i, Lp, srcp, None))
             results.append(self_delimited_len(pl))
         return results

@@ -4,14 +4,17 @@ versions of the mixture predictor, the name-measure DP, the
 well-distributedness moments, column sampling and
 ``transformation_extends``."""
 
+import bisect
 import math
+from array import array
 from fractions import Fraction
 
 from lzlab.arith import PROB_BITS
-from lzlab.bitio import MalformedInput
+from lzlab.bitio import MalformedInput, self_delimited_len
 from lzlab.intervals import Column, Gadget, Interval, _column_maps
 from lzlab.deficiency import Supermartingale, selection_threshold
 from lzlab.ktmix import WEIGHT_BITS, mixture_weights
+from lzlab.lz import LZWindowCoder
 from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
 
 F = Fraction
@@ -448,3 +451,129 @@ def reference_sample_column(node, rng):
         h = node.uniform_height
         return format(rng.getrandbits(h), f"0{h}b") if h else ""
     return "".join(reference_sample_column(node.child, rng) for _ in range(node.m))
+
+
+class ReferenceSuffixAutomaton:
+    """The suffix automaton as first written: five 64-bit arrays, one
+    ``_extend`` call per symbol, suffix links and lengths kept."""
+
+    def __init__(self, text):
+        cap = 2 * max(1, len(text)) + 4
+        self.t0 = array("l", [-1]) * cap
+        self.t1 = array("l", [-1]) * cap
+        self.link = array("l", [-1]) * cap
+        self.length = array("l", [0]) * cap
+        self.first_end = array("l", [-1]) * cap
+        self.size = 1
+        self.last = 0
+        for i, ch in enumerate(text):
+            self._extend(1 if ch == "1" else 0, i)
+
+    def _new_state(self, length, first_end):
+        idx = self.size
+        self.size += 1
+        self.length[idx] = length
+        self.first_end[idx] = first_end
+        return idx
+
+    def _extend(self, c, pos):
+        trans = self.t1 if c else self.t0
+        link = self.link
+        length = self.length
+        cur = self._new_state(pos + 1, pos)
+        p = self.last
+        while p != -1 and trans[p] == -1:
+            trans[p] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        else:
+            q = trans[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = self._new_state(length[p] + 1, self.first_end[q])
+                self.t0[clone] = self.t0[q]
+                self.t1[clone] = self.t1[q]
+                link[clone] = link[q]
+                link[q] = clone
+                link[cur] = clone
+                while p != -1 and trans[p] == q:
+                    trans[p] = clone
+                    p = link[p]
+        self.last = cur
+
+    def longest_match_before(self, text, i, limit):
+        state = 0
+        L = 0
+        while L < limit:
+            nxt = self.t1[state] if text[i + L] == "1" else self.t0[state]
+            if nxt == -1 or self.first_end[nxt] > i + L - 1:
+                break
+            state = nxt
+            L += 1
+        return L
+
+
+class ReferenceLZWindowCoder(LZWindowCoder):
+    """``LZWindowCoder`` as first written: the source is a reverse ``rfind``
+    after the automaton walk, and a windowed match gallops and then
+    binary-searches on ``rfind``."""
+
+    def _longest_match(self, x, i, limit, sam):
+        if self.window is None:
+            L = sam.longest_match_before(x, i, limit)
+            if L == 0:
+                return 0, -1
+            return L, x.rfind(x[i : i + L], 0, i + L - 1)
+        lo = max(0, i - self.window)
+        ok = 0
+        step = 1
+        while ok + step <= limit and x.rfind(x[i : i + ok + step], lo, i + ok + step - 1) != -1:
+            ok += step
+            step *= 2
+        lo_L, hi_L = ok, min(limit, ok + step)
+        while lo_L < hi_L:
+            mid = (lo_L + hi_L + 1) // 2
+            if x.rfind(x[i : i + mid], lo, i + mid - 1) != -1:
+                lo_L = mid
+            else:
+                hi_L = mid - 1
+        L = lo_L
+        if L == 0:
+            return 0, -1
+        return L, x.rfind(x[i : i + L], lo, i + L - 1)
+
+    def _parse(self, x):
+        n = len(x)
+        sam = ReferenceSuffixAutomaton(x) if self.window is None else None
+        phrases = []
+        i = 0
+        while i < n:
+            L, src = self._longest_match(x, i, n - i, sam)
+            has_sym = i + L < n
+            phrases.append((i, L, src, has_sym))
+            i += L + (1 if has_sym else 0)
+        return phrases
+
+    def prefix_bits(self, x, positions):
+        phrases = self._parse(x)
+        cum = [0]
+        for i, L, src, has_sym in phrases:
+            cum.append(cum[-1] + len(self._triple_bits(i, L, src, "0" if has_sym else None)))
+        starts = [ph[0] for ph in phrases]
+        results = []
+        for n in positions:
+            pl = 0
+            if n:
+                j = bisect.bisect_right(starts, n - 1) - 1
+                i, L, src, has_sym = phrases[j]
+                pl = cum[j]
+                if n >= i + L + (1 if has_sym else 0):
+                    pl = cum[j + 1]
+                elif n > i:
+                    lo = 0 if self.window is None else max(0, i - self.window)
+                    srcp = x.rfind(x[i:n], lo, n - 1)
+                    pl += len(self._triple_bits(i, n - i, srcp, None))
+            results.append(self_delimited_len(pl))
+        return results

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from family import VerbatimCoder
+from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
+from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
+from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import (
     BlockCoder,
@@ -15,6 +18,8 @@ from lzlab.lz import (
     lz78_parse,
     ratio_curve,
 )
+from lzlab.sources import bernoulli, flip_chain
+from lzlab.suffixauto import SuffixAutomaton
 
 
 def phrase_strings(x):
@@ -180,10 +185,11 @@ def test_lzwin_unbounded_matches_bruteforce():
 
 def test_lzwin_windowed_matches_bruteforce():
     rng = random.Random(11)
-    for W in (4, 16):
+    for W in (1, 2, 3, 4, 7, 16):
         coder = LZWindowCoder(window=W)
         for _ in range(50):
-            x = "".join(rng.choice("01") for _ in range(80))
+            # fair-coin words and words of long zero runs
+            x = "".join(rng.choice(rng.choice(["01", "0001"])) for _ in range(80))
             for i, L, src, has_sym in coder._parse(x):
                 # brute force longest match with source start in window
                 best = 0
@@ -200,6 +206,84 @@ def test_lzwin_windowed_matches_bruteforce():
                 assert L == best
                 if L > 0:
                     assert src == best_src
+
+
+def _alpha_prefix(n):
+    cfg = OSCILLATION_DEFAULTS
+    params = ConstructionParams(r=Fraction(1, 256), h0=16, fold_schedule=tuple(cfg["fold_schedule"]))
+    specs = [FragmentSpec(s["kind"], int(s["stage"]), int(s.get("parts", 1))) for s in cfg["schedule"]]
+    bits = build_alpha(Construction(params), specs, initial_length=24, seed=7).bits
+    assert len(bits) >= n
+    return bits[:n]
+
+
+@pytest.fixture(scope="module")
+def differential_words():
+    return {
+        "zeros": "0" * 3000,
+        "periodic": ("01" * 600)[:1111] + ("0011" * 400)[:1000] + ("10010" * 300)[:1303],
+        "fair": bernoulli(Fraction(1, 2)).sample(31, 3000),
+        "flip": flip_chain(Fraction(1, 10)).sample(32, 3000),
+        "alpha": _alpha_prefix(1 << 14),
+    }
+
+
+@pytest.mark.parametrize("window", [None, 1, 2, 3, 7, 64, 4096])
+def test_lzwin_matches_reference_coder(differential_words, window):
+    # the reference finds sources with rfind and, in a window, gallops on it
+    coder, ref = LZWindowCoder(window), ReferenceLZWindowCoder(window)
+    for name, x in differential_words.items():
+        assert coder._parse(x) == ref._parse(x), name
+        every = list(range(len(x) + 1))
+        assert coder.prefix_bits(x, every) == ref.prefix_bits(x, every), name
+
+
+def test_suffix_automaton_matches_reference():
+    rng = random.Random(29)
+    for _ in range(40):
+        p = rng.choice([0.5, 0.1, 0.01])
+        x = "".join("1" if rng.random() < p else "0" for _ in range(rng.randrange(1, 600)))
+        sam, ref = SuffixAutomaton(x), ReferenceSuffixAutomaton(x)
+        assert sam.size == ref.size
+        assert list(sam.t0) == list(ref.t0)
+        assert list(sam.t1) == list(ref.t1)
+        assert list(sam.first_end) == list(ref.first_end)
+
+
+def test_suffix_automaton_memory():
+    # the build holds five 4-byte arrays of 2n + 4 entries (40 bytes per
+    # symbol) and keeps three: a 64-bit array or a retained build array fails
+    n = 1 << 16
+    x = bernoulli(Fraction(1, 2)).sample(33, n)
+    tracemalloc.start()
+    try:
+        sam = SuffixAutomaton(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * n, peak
+    arrays = {name: getattr(sam, name) for name in sam.__slots__ if name != "size"}
+    assert sorted(arrays) == ["first_end", "t0", "t1"]
+    assert all(a.itemsize == 4 for a in arrays.values())
+
+
+def test_suffix_automaton_rejects_texts_past_32_bit_states():
+    class Huge(str):
+        def __len__(self):
+            return 1 << 30
+
+    with pytest.raises(ValueError):
+        SuffixAutomaton(Huge())
+
+
+def test_lzwin_decode_rejects_offset_beyond_window():
+    literal = encode_int(1) + encode_int(1)
+    # five literals 0,1,1,0,1, then "01" copied from offset 5, then "1"
+    stream = self_delimit("".join(literal + c for c in "01101") + encode_int(5) + encode_int(3) + "1")
+    assert LZWindowCoder().decode(stream)[0] == "01101011"
+    assert LZWindowCoder(window=5).decode(stream)[0] == "01101011"
+    with pytest.raises(MalformedInput, match="beyond the window"):
+        LZWindowCoder(window=4).decode(stream)
 
 
 def test_block_structure_exact():
