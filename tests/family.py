@@ -1,8 +1,8 @@
 """Shared randomized-instance builders for the oracle-equivalence and
-selection-procedure suites, a verbatim test-double coder, and reference
-versions of the mixture predictor, the name-measure DP, the
-well-distributedness moments, column sampling and
-``transformation_extends``."""
+selection-procedure suites, a seeded alpha trace prefix, a verbatim
+test-double coder, and reference versions of the mixture predictor, the
+name-measure DP, the well-distributedness moments, column sampling,
+``transformation_extends``, the suffix automaton and the window-LZ coder."""
 
 import bisect
 import math
@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput, self_delimited_len
+from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
+from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.intervals import Column, Gadget, Interval, _column_maps
 from lzlab.deficiency import Supermartingale, selection_threshold
 from lzlab.ktmix import WEIGHT_BITS, mixture_weights
@@ -34,6 +36,15 @@ def random_gadget(rng, max_cols=3, max_height=3):
             cursor += w + F(1, 256)
         cols.append(Column(tuple(levels), name))
     return Gadget(cols)
+
+
+def alpha_prefix(n):
+    """The first n symbols of a small seeded oscillation trace (h0 = 16, the
+    default fold and fragment schedules): 2^15 symbols or more."""
+    cfg = OSCILLATION_DEFAULTS
+    params = ConstructionParams(r=F(1, 256), h0=16, fold_schedule=tuple(cfg["fold_schedule"]))
+    specs = [FragmentSpec(s["kind"], int(s["stage"]), int(s.get("parts", 1))) for s in cfg["schedule"]]
+    return build_alpha(Construction(params), specs, initial_length=24, seed=7).bits[:n]
 
 
 class DictMeasure:

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
+from family import alpha_prefix
 from lzlab import experiments
-from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, lz78_parse
 from lzlab.sources import bernoulli, flip_chain
@@ -46,18 +45,11 @@ def _cut_inside_last_phrase(x: str) -> str:
     return x[:cut]
 
 
-def _alpha_prefix(n: int) -> str:
-    cfg = OSCILLATION_DEFAULTS
-    params = ConstructionParams(r=Fraction(1, 256), h0=16, fold_schedule=tuple(cfg["fold_schedule"]))
-    specs = [FragmentSpec(s["kind"], int(s["stage"]), int(s.get("parts", 1))) for s in cfg["schedule"]]
-    return build_alpha(Construction(params), specs, initial_length=24, seed=7).bits[:n]
-
-
 def _inputs() -> dict[str, str]:
     return {
         "flip": _cut_inside_last_phrase(flip_chain(Fraction(1, 10)).sample(11, 2500)),
         "fair": _cut_inside_last_phrase(bernoulli(Fraction(1, 2)).sample(12, 2500)),
-        "alpha": _cut_inside_last_phrase(_alpha_prefix(8192)),
+        "alpha": _cut_inside_last_phrase(alpha_prefix(8192)),
     }
 
 
@@ -125,7 +117,7 @@ def test_golden_digest(coder_name, input_name):
     assert golden_values(coder_name, input_name) == GOLDEN[coder_name, input_name]
 
 
-LONG_ALPHA = _alpha_prefix(1 << 15)
+LONG_ALPHA = alpha_prefix(1 << 15)
 
 # the mixture coders on a 2^15-bit alpha prefix, long enough that most of
 # the mixture's orders reach weight 0 partway through

@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder
+from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder, alpha_prefix
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
-from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
-from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import (
     BlockCoder,
@@ -208,15 +206,6 @@ def test_lzwin_windowed_matches_bruteforce():
                     assert src == best_src
 
 
-def _alpha_prefix(n):
-    cfg = OSCILLATION_DEFAULTS
-    params = ConstructionParams(r=Fraction(1, 256), h0=16, fold_schedule=tuple(cfg["fold_schedule"]))
-    specs = [FragmentSpec(s["kind"], int(s["stage"]), int(s.get("parts", 1))) for s in cfg["schedule"]]
-    bits = build_alpha(Construction(params), specs, initial_length=24, seed=7).bits
-    assert len(bits) >= n
-    return bits[:n]
-
-
 @pytest.fixture(scope="module")
 def differential_words():
     return {
@@ -224,7 +213,7 @@ def differential_words():
         "periodic": ("01" * 600)[:1111] + ("0011" * 400)[:1000] + ("10010" * 300)[:1303],
         "fair": bernoulli(Fraction(1, 2)).sample(31, 3000),
         "flip": flip_chain(Fraction(1, 10)).sample(32, 3000),
-        "alpha": _alpha_prefix(1 << 14),
+        "alpha": alpha_prefix(1 << 14),
     }
 
 
