@@ -56,17 +56,6 @@ class Phrase:
 class PhraseParse:
     phrases: list[Phrase]
 
-    def reconstruct(self) -> str:
-        entries = [""]  # dictionary entry per index
-        out: list[str] = []
-        for ph in self.phrases:
-            content = entries[ph.ref_index]
-            if ph.sym is not None:
-                content += ph.sym
-                entries.append(content)
-            out.append(content)
-        return "".join(out)
-
 
 def lz78_phrases(x: str) -> Iterator[Phrase]:
     """Greedy leftmost incremental parse, yielded phrase by phrase; the final

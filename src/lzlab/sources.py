@@ -156,12 +156,6 @@ def bernoulli(p: Fraction) -> MarkovSource:
     return MarkovSource(0, {"": p}, name=f"bernoulli({p})")
 
 
-def bernoulli_prob(x: str, p: Fraction) -> Fraction:
-    p = F(p)
-    ones = x.count("1")
-    return p**ones * (1 - p) ** (len(x) - ones)
-
-
 def flip_chain(p: Fraction) -> MarkovSource:
     """Symmetric order-1 chain that flips the previous symbol with prob p."""
     p = F(p)

@@ -41,15 +41,7 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
-from .intervals import (
-    Gadget,
-    GadgetError,
-    count_occurrences,
-    cut_into_copies,
-    mfold_explicit,
-    stack_gadgets,
-    union_gadgets,
-)
+from .intervals import Gadget, GadgetError, count_occurrences
 
 CLASS_TABLE_CAP = 4096
 WD_ENUM_CAP = 200_000
@@ -97,9 +89,6 @@ class SymbolicGadget:
         return got
 
     def _compute_moments(self, p: int):
-        raise NotImplementedError
-
-    def to_explicit(self) -> Gadget:
         raise NotImplementedError
 
     def sample_column(self, rng) -> str:
@@ -157,9 +146,6 @@ class BaseNode(SymbolicGadget):
             [((1, ((1, 0), (c.height, 0), (c.height**2, 0))), c.width / self.width)
              for c in self.gadget.columns], p)
 
-    def to_explicit(self) -> Gadget:
-        return self.gadget
-
     def sample_column(self, rng) -> str:
         cols = self.gadget.columns
         if self._cuts is None:
@@ -193,9 +179,6 @@ class CutNode(SymbolicGadget):
 
     def _compute_moments(self, p):
         return self.child._moments_of(p)
-
-    def to_explicit(self) -> Gadget:
-        return cut_into_copies(self.child.to_explicit(), list(self.gamma))[self.index]
 
     def sample_column(self, rng) -> str:
         return self.child.sample_column(rng)
@@ -239,9 +222,6 @@ class UnionNode(SymbolicGadget):
     def _compute_moments(self, p):
         return _union_moments([(c._moments_of(p), c.width / self.width) for c in self.children], p)
 
-    def to_explicit(self) -> Gadget:
-        return union_gadgets(*(c.to_explicit() for c in self.children))
-
     def sample_column(self, rng) -> str:
         if self._cuts is None:
             self._cuts = _cuts([c.width for c in self.children], self.width)
@@ -279,9 +259,6 @@ class StackNode(SymbolicGadget):
 
     def _compute_moments(self, p):
         return _stack_moments(self.lower._moments_of(p), self.upper._moments_of(p))
-
-    def to_explicit(self) -> Gadget:
-        return stack_gadgets(self.lower.to_explicit(), self.upper.to_explicit())
 
     def sample_column(self, rng) -> str:
         return self.lower.sample_column(rng) + self.upper.sample_column(rng)
@@ -326,9 +303,6 @@ class MFoldNode(SymbolicGadget):
 
     def _compute_moments(self, p):
         return _power(self.child._moments_of(p), self.m, _stack_moments)
-
-    def to_explicit(self) -> Gadget:
-        return mfold_explicit(self.child.to_explicit(), self.m)
 
     def sample_column(self, rng) -> str:
         if self.uniform_height is not None:

@@ -2,18 +2,20 @@
 selection-procedure suites, a seeded alpha trace prefix, a verbatim
 test-double coder, and reference versions of the mixture predictor, the
 name-measure DP, the well-distributedness moments, column sampling,
-``transformation_extends``, the suffix automaton and the window-LZ coder."""
+``transformation_extends`` (the sweep version is in explicit.py), the suffix
+automaton and the window-LZ coder."""
 
 import bisect
 import math
 from array import array
 from fractions import Fraction
 
+from explicit import _column_maps
 from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput, self_delimited_len
 from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
 from lzlab.experiments import OSCILLATION_DEFAULTS
-from lzlab.intervals import Column, Gadget, Interval, _column_maps
+from lzlab.intervals import Column, Gadget, Interval
 from lzlab.deficiency import Supermartingale, selection_threshold
 from lzlab.ktmix import WEIGHT_BITS, mixture_weights
 from lzlab.lz import LZWindowCoder

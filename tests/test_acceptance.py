@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import pytest
 
+from explicit import mfold_explicit, name_measure_explicit, well_distributedness_explicit
 from family import VerbatimCoder, brute_force_selection, random_gadget, random_measure, random_supermartingale
 from lzlab.bitio import encode_int, kraft_sum
 from lzlab.construction import Construction, ConstructionParams
 from lzlab.deficiency import cylinder_mass, select_subset
-from lzlab.intervals import mfold_explicit, name_measure_explicit, well_distributedness_explicit
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, decodability_check
 from lzlab.experiments import run_deficiency, run_oscillation, run_robustness

@@ -19,9 +19,10 @@ from lzlab.construction import (
     stage_height,
 )
 from lzlab.experiments import OSCILLATION_DEFAULTS, _alpha_trace, merge_config
-from lzlab.intervals import Gadget, completeness_check, transformation_extends
+from lzlab.intervals import Gadget
 from lzlab.symbolic import name_measure
 
+from explicit import completeness_check, materialize, transformation_extends
 from family import transformation_extends_pairwise
 
 F = Fraction
@@ -69,7 +70,7 @@ def test_initial_gadget_masses_and_names():
     assert st.pi.support == 1 - 2 * r
     assert st.delta.uniform_height == 3
     # the main gadget's names carry no ones
-    explicit = st.pi.to_explicit()
+    explicit = materialize(st.pi)
     assert all(set(col.name) == {"0"} for col in explicit.columns)
     assert all(col.height == 6 for col in explicit.columns)
 
@@ -153,11 +154,11 @@ def test_building_computes_no_well_distributedness(monkeypatch):
 def early_stage_gadgets():
     """pi_0, then the fold base and pi of stages 1 and 2, materialized."""
     c = tiny_construction(stages=2)
-    seq = [c.stage(0).pi.to_explicit()]
+    seq = [materialize(c.stage(0).pi)]
     # the extension chain is pi_{s-1} ∪ delta'' -> its fold
     for s in (1, 2):
-        seq.append(c.stage(s).fold_base.to_explicit())
-        seq.append(c.stage(s).pi.to_explicit())
+        seq.append(materialize(c.stage(s).fold_base))
+        seq.append(materialize(c.stage(s).pi))
     return seq
 
 

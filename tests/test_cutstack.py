@@ -4,13 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lzlab.intervals import (
-    Column,
-    Gadget,
-    GadgetError,
-    Interval,
+from explicit import (
     completeness_check,
     cut_into_copies,
+    distribution,
     mfold_explicit,
     name_measure_explicit,
     stack_columns,
@@ -19,6 +16,7 @@ from lzlab.intervals import (
     union_gadgets,
     well_distributedness_explicit,
 )
+from lzlab.intervals import Column, Gadget, GadgetError, Interval
 from lzlab.symbolic import (
     base_node,
     cut_symbolic,
@@ -54,6 +52,14 @@ def simple_gadget():
 from family import random_gadget
 
 
+def test_gadget_rejects_overlapping_columns():
+    # the second column's only level starts inside the first's
+    c0 = make_column(F(0), F(1, 8), "01")
+    c1 = make_column(F(1, 16), F(1, 8), "1")
+    with pytest.raises(GadgetError, match="columns overlap"):
+        Gadget([c0, c1])
+
+
 def test_cut_identity_and_halves():
     g = simple_gadget()
     only = cut_into_copies(g, [F(1)])[0]
@@ -72,7 +78,7 @@ def test_cut_measure_preserved_random_gamma():
     assert sum(c.support_measure for c in copies) == g.support_measure
     for copy in copies:
         assert [c.name for c in copy.columns] == [c.name for c in g.columns]
-        assert copy.distribution() == g.distribution()
+        assert distribution(copy) == distribution(g)
     with pytest.raises(GadgetError):
         cut_into_copies(g, [F(1, 2), F(1, 3)])
 

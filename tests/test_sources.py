@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lzlab._util import binary_entropy, log2_fraction
-from lzlab.sources import MarkovSource, bernoulli, bernoulli_prob, flip_chain, robustness_experiment
+from lzlab.sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 
 F = Fraction
 
@@ -17,7 +17,7 @@ def test_bernoulli_half_is_uniform():
 
 
 def test_bernoulli_prob_closed_form():
-    assert bernoulli_prob("0110", F(1, 5)) == F(1, 5) ** 2 * F(4, 5) ** 2
+    assert bernoulli(F(1, 5)).prob("0110") == F(1, 5) ** 2 * F(4, 5) ** 2
 
 
 def test_flip_chain_hand_value():

@@ -3,7 +3,7 @@
 A strategy draws small random trees of cut, union, stack and m-fold nodes
 over explicit base gadgets, the way construction stages compose them (a
 union of pieces, a cut copy, then an m-fold), and every symbolic query must
-equal the brute-force answer of ``intervals.py`` on the materialized gadget
+equal the brute-force answer of ``explicit.py`` on the materialized gadget
 exactly.  At the deficiency runner's default scale, where nothing can be
 materialized, the name-measure DP must equal the reference Fraction DP, and
 at the stages the runners and the codec benchmark build, the moments,
@@ -19,6 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explicit import (
+    materialize,
+    mfold_explicit,
+    name_measure_explicit,
+    well_distributedness_explicit,
+)
 from family import (
     reference_moments,
     reference_name_measure,
@@ -29,14 +35,7 @@ from family import (
 from lzlab._util import parse_rational, stream_seed
 from lzlab.construction import WD_STAGE_CAP, Construction, ConstructionParams
 from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _alpha_trace
-from lzlab.intervals import (
-    Column,
-    Gadget,
-    Interval,
-    mfold_explicit,
-    name_measure_explicit,
-    well_distributedness_explicit,
-)
+from lzlab.intervals import Column, Gadget, Interval
 from lzlab.sources import bernoulli
 from lzlab.symbolic import (
     WD_ENUM_CAP,
@@ -160,7 +159,7 @@ words = st.lists(st.text("01", max_size=6), min_size=1, max_size=4)
 def test_name_measure_equals_explicit(drawn, xs):
     spec, ncols = drawn
     node = build(spec)
-    explicit = node.to_explicit()
+    explicit = materialize(node)
     assert len(explicit.columns) == ncols
     for x in xs:
         for restricted in (False, True):
@@ -178,7 +177,7 @@ def _explicit_classes(g: Gadget):
 @given(tree_specs())
 def test_classes_and_moments_equal_explicit(drawn):
     node = build(drawn[0])
-    explicit = node.to_explicit()
+    explicit = materialize(node)
     classes = node.classes()
     assert classes is not None
     got = Counter()
@@ -201,7 +200,7 @@ def test_wd_mfold_equals_explicit(drawn, M):
     if ncols**M > WD_COLUMN_CAP:
         M = max(m for m in range(1, M + 1) if ncols**m <= WD_COLUMN_CAP)
     node = build(spec)
-    explicit = node.to_explicit()
+    explicit = materialize(node)
     want = well_distributedness_explicit(explicit, mfold_explicit(explicit, M))
     try:
         assert well_distributedness_mfold(node, M) == want
