@@ -39,6 +39,13 @@ GADGET_STATS_STDOUT_SHA256 = {
     ("7", "16", "4,4,4,4,2,2,2,2,2"): "155d22703b82ba921f727219ad18811dec7dea0dca01157822ca14e30217ce1f",
 }
 THEOREM1_BUILD_STDOUT_SHA256 = "da2e8b31d5be1c3e50bb95f236b3763dd169dfd3d77f072c891d0f9c3d01bdf8"
+# `gadget dump --h0 4 --folds 2,2` at stages 0, 1 and 2, with node ids
+# renamed n0, n1, ... in order of first appearance (they are id()-based)
+GADGET_DUMP_SHA256 = {
+    "0": "047490cb86cffc784ff68d34ede15c2d923a2af5773994e5e957004a4176008c",
+    "1": "8eda3e12dfd4a6b84b36f5d1df1bed7f804d839e74d6bf4cb8bf1420b9243e64",
+    "2": "c921c09373fe38ed13cc3c49ff0773c24e798f7c6c9064ced1439ede52de3827",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -115,6 +122,28 @@ def test_gadget_stats_and_dump(tmp_path, capsys):
     for (stage, h0, folds), want in GADGET_STATS_STDOUT_SHA256.items():
         main(["gadget", "stats", "--stage", stage, "--h0", h0, "--folds", folds])
         assert _sha256(capsys.readouterr().out.encode()) == want, stage
+
+
+def _canonical_dump(text: str) -> bytes:
+    """The dump with its id()-based node ids renamed in order of first appearance."""
+    payload = json.loads(text)["pi"]
+    ids = {nid: f"n{i}" for i, nid in enumerate(payload["nodes"])}
+    nodes = {}
+    for nid, entry in payload["nodes"].items():
+        entry = dict(entry)
+        for key in ("child", "lower", "upper"):
+            if key in entry:
+                entry[key] = ids[entry[key]]
+        if "children" in entry:
+            entry["children"] = [ids[c] for c in entry["children"]]
+        nodes[ids[nid]] = entry
+    return json.dumps({"pi": {"root": ids[payload["root"]], "nodes": nodes}}).encode()
+
+
+def test_gadget_dump_pinned(capsys):
+    for stage, want in GADGET_DUMP_SHA256.items():
+        main(["gadget", "dump", "--stage", stage, "--h0", "4", "--folds", "2,2"])
+        assert _sha256(_canonical_dump(capsys.readouterr().out)) == want, stage
 
 
 def test_gadget_wd_prints_value(capsys):
