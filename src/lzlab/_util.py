@@ -1,4 +1,5 @@
-"""Shared helpers: rational parsing, seed streams, logarithms of fractions."""
+"""Shared helpers: rational parsing, seed streams, logarithms of fractions,
+sampling cut points."""
 
 from __future__ import annotations
 
@@ -67,6 +68,16 @@ def binary_entropy(p: Fraction) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def cut_points(widths, total: Fraction) -> list[int]:
+    """A 64-bit draw r picks the first part whose cumulative width exceeds
+    r / 2**64 * total, that is, the first with r < ceil(cumulative * 2**64 / total)."""
+    cuts, acc = [], Fraction(0)
+    for w in widths:
+        acc += w
+        cuts.append(math.ceil(acc * (1 << 64) / total))
+    return cuts
 
 
 def write_atomic(path: str, data: str) -> None:

@@ -258,11 +258,11 @@ def cmd_experiment(args):
         print(f"  [{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
 
 
-def _add_construction_flags(p, mode_default="empirical"):
+def _add_construction_flags(p):
     p.add_argument("--r", default="1/256")
     p.add_argument("--h0", type=int, default=256)
     p.add_argument("--folds", default="4,4,4,4,2,2,2,2,2")
-    p.add_argument("--mode", choices=["empirical", "faithful"], default=mode_default)
+    p.add_argument("--mode", choices=["empirical", "faithful"], default="empirical")
     p.add_argument("--sigma", default=None, help="'id' or a JSON table file")
 
 

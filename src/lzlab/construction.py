@@ -1,18 +1,19 @@
 """Staged cutting-and-stacking construction of a low-entropy ergodic measure,
 its computable oracle, and the oscillating-sequence builder.
 
-Stage 0 starts from the partition with parameter r (the marked interval
-[1/2, 1/2+r)); each later stage halves the current auxiliary gadget, folds
-one half into the main gadget, and applies R_s-fold independent cutting and
-stacking to both.  The main-gadget mass is exactly 1 - 2^(1-s) r at every
-stage and the auxiliary tower keeps uniformly distributed names, which is
-what the sequence builder relies on.
+Stage 0 names the marked interval [1/2, 1/2+r) "1" and the rest of [0, 1)
+"0"; each later stage halves the current auxiliary gadget, folds one half
+into the main gadget, and applies R_s-fold independent cutting and stacking
+to both.  The main-gadget mass is exactly 1 - 2^(1-s) r at every stage and
+the auxiliary tower keeps uniformly distributed names, which is what the
+sequence builder relies on.
 
 Two modes:
 
 * faithful -- heights follow the growth-function schedule and every stage
-  must certify well-distributedness < 1/s exactly; this is only feasible for
-  the first stage or two and exists for the exact-identity tests.
+  takes the smallest fold count up to WD_MCAP that certifies
+  well-distributedness < 1/s exactly; this is only feasible for the first
+  stage or two and exists for the exact-identity tests.
 * empirical -- fold counts come from an explicit per-stage schedule and
   heights are desk-scale; nothing is certified while building, and
   ``Construction.wd`` computes a stage's well-distributedness on request.
@@ -20,12 +21,13 @@ Two modes:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .intervals import Column, Gadget, Interval, Partition, column_from_interval
+from .intervals import Column, Gadget, Interval
 from .lz import LZ78Coder, compression_ratio
 from .symbolic import (
     CutNode,
@@ -48,14 +50,20 @@ F = Fraction
 # exact well-distributedness rationals blow up with depth; Construction.wd
 # skips empirical stages past this one
 WD_STAGE_CAP = 6
-
-
-class SigmaExhausted(RuntimeError):
-    """The tabulated growth function ran out before the schedule finished."""
+# stages 0..STAGE_CAP-1 can be built; faithful mode tries fold counts up to
+# WD_MCAP, and heights_schedule heights up to HEIGHT_CAP
+STAGE_CAP = 24
+WD_MCAP = 512
+HEIGHT_CAP = 10_000_000
+ESTIMATE_HEIGHT_FACTOR = 8  # see Construction.prob_estimate
 
 
 class StageFailure(RuntimeError):
     pass
+
+
+class SigmaExhausted(StageFailure):
+    """The tabulated growth function ran out before the schedule finished."""
 
 
 def entropy_upper_bound(r: Fraction) -> float:
@@ -75,7 +83,7 @@ def _gap_satisfied(diff: int, i: int, r: Fraction) -> bool:
     return r * (1 << e) > 1
 
 
-def heights_schedule(sigma, r: Fraction, count: int, h_cap: int = 10_000_000) -> list[int]:
+def heights_schedule(sigma, r: Fraction, count: int) -> list[int]:
     """Greedy minimal strictly increasing heights [h_-2, h_-1, h_0, ...].
 
     Constraint i (one per new entry, i = 0, 1, ...) requires
@@ -99,7 +107,7 @@ def heights_schedule(sigma, r: Fraction, count: int, h_cap: int = 10_000_000) ->
         prev_sig = sig(prev)
         h = prev + 1
         while True:
-            if h > h_cap:
+            if h > HEIGHT_CAP:
                 raise SigmaExhausted("height cap reached before satisfying the gap")
             v = sig(h)
             if v < prev_sig:
@@ -119,8 +127,6 @@ class ConstructionParams:
     mode: str = "empirical"
     fold_schedule: tuple[int, ...] = (4, 4, 4, 4, 2, 2, 2, 2, 2, 2, 2, 2)
     sigma: object = None
-    stage_cap: int = 24
-    wd_mcap: int = 512
 
     def __post_init__(self):
         self.r = F(self.r)
@@ -154,7 +160,6 @@ class Construction:
 
     def __init__(self, params: ConstructionParams):
         self.params = params
-        self.partition = Partition(ones=(Interval(F(1, 2), F(1, 2) + params.r),))
         self.stages: list[Stage] = [self._stage_zero()]
 
     # -- construction ------------------------------------------------------
@@ -169,18 +174,18 @@ class Construction:
             ]
         )
         delta0 = mfold(base_node(delta_base), h0)
-        pi_cols = [
-            column_from_interval(Interval(F(0), half - r), 2 * h0, self.partition),
-            column_from_interval(Interval(half + r, F(1)), 2 * h0, self.partition),
-        ]
-        pi0 = base_node(Gadget(pi_cols))
+        # both intervals miss the marked set [1/2, 1/2+r), so every level is named "0"
+        pi0 = base_node(Gadget(
+            Column(tuple(iv.split([F(1, 2 * h0)] * (2 * h0))), "0" * (2 * h0))
+            for iv in (Interval(F(0), half - r), Interval(half + r, F(1)))
+        ))
         assert delta0.support == 2 * r
         assert pi0.support == 1 - 2 * r
         return Stage(0, pi0, delta0, None, None, None, union(pi0, delta0))
 
     def stage(self, s: int) -> Stage:
-        if not 0 <= s < self.params.stage_cap:
-            raise StageFailure(f"stage {s} is outside 0..{self.params.stage_cap - 1}")
+        if not 0 <= s < STAGE_CAP:
+            raise StageFailure(f"stage {s} is outside 0..{STAGE_CAP - 1}")
         while len(self.stages) <= s:
             self.stages.append(self._build_stage(len(self.stages)))
         return self.stages[s]
@@ -198,13 +203,13 @@ class Construction:
         except InfeasibleExact:
             return None, "infeasible"
 
-    def _fold_count(self, s: int, fold_base: SymbolicGadget, delta_prime: SymbolicGadget) -> tuple[int, Fraction | None]:
+    def _fold_count(self, s: int, fold_base: SymbolicGadget, delta_prime: SymbolicGadget) -> int:
         params = self.params
         if params.mode == "empirical":
             sched = params.fold_schedule
             if s - 1 >= len(sched):
                 raise StageFailure(f"fold schedule has no entry for stage {s}")
-            return sched[s - 1], None
+            return sched[s - 1]
         # faithful: smallest fold count reaching the scheduled height and
         # certifying well-distributedness < 1/s
         if params.sigma is None:
@@ -216,26 +221,28 @@ class Construction:
             -(-2 * h_s // fold_base.min_height),
             -(-2 * h_s // delta_prime.min_height),
         )
-        res = find_rs(fold_base, F(1, s), params.wd_mcap, m_min=m_min)
+        res = find_rs(fold_base, F(1, s), WD_MCAP, m_min=m_min)
         if not res.found:
+            # the best value is a rational far past the int-to-str digit limit
+            best = "none tried"
+            if res.best_value is not None:
+                best = f"best {float(res.best_value):.6f} at {res.best_m}"
             raise StageFailure(
-                f"stage {s}: no fold count up to {params.wd_mcap} certifies "
-                f"well-distributedness < 1/{s} (best {res.best_value} at {res.best_m})"
+                f"stage {s}: no fold count in {m_min}..{WD_MCAP} certifies "
+                f"well-distributedness < 1/{s} ({best})"
             )
-        return res.m, res.value
+        return res.m
 
     def _build_stage(self, s: int) -> Stage:
         prev = self.stages[s - 1]
         delta_prime, delta_second = cut_symbolic(prev.delta, (F(1, 2), F(1, 2)))
         fold_base = union(prev.pi, delta_second)
-        m, wd_value = self._fold_count(s, fold_base, delta_prime)
+        m = self._fold_count(s, fold_base, delta_prime)
         pi_s = mfold(fold_base, m)
         delta_s = mfold(delta_prime, m)
         expected_delta = F(2, 2**s) * self.params.r
         assert delta_s.support == expected_delta
         assert pi_s.support == 1 - expected_delta
-        if self.params.mode == "faithful" and not (wd_value < F(1, s)):
-            raise StageFailure(f"stage {s}: well-distributedness {wd_value} >= 1/{s}")
         gamma = delta_second.support / prev.pi.support
         denom_printed = 1 - F(4, 2**s)
         diagnostics = {
@@ -250,17 +257,12 @@ class Construction:
 
     # -- measure oracle ----------------------------------------------------
 
-    def _stage_for_query(self, m: int, eps: Fraction) -> int:
-        s = 0
-        while True:
+    def _first_stage(self, ok) -> Stage:
+        """The first stage whose gadget phi satisfies ok(phi)."""
+        for s in itertools.count():
             st = self.stage(s)
-            if (
-                st.phi.support >= 1 - eps / 2
-                and st.phi.min_height > m + 1
-                and m * st.phi.width <= eps / 2
-            ):
-                return s
-            s += 1
+            if ok(st.phi):
+                return st
 
     def query(self, x: str, eps: Fraction) -> Fraction:
         """MeasureOracle interface: rational approximation of P(x) within eps.
@@ -274,39 +276,32 @@ class Construction:
             raise ValueError("eps must be positive")
         if x == "":
             return F(1)
-        s = self._stage_for_query(len(x), eps)
-        return name_measure(self.stage(s).phi, x, restricted=True)
+        m = len(x)
+        st = self._first_stage(
+            lambda phi: phi.support >= 1 - eps / 2 and phi.min_height > m + 1 and m * phi.width <= eps / 2
+        )
+        return name_measure(st.phi, x, restricted=True)
 
-    def prob_estimate(self, x: str, height_factor: int = 8) -> Fraction:
+    def prob_estimate(self, x: str) -> Fraction:
         """Relative-precision estimate: first stage whose minimum height is
-        height_factor * len(x), so the unresolved top band is a small
-        fraction of all starts."""
+        ESTIMATE_HEIGHT_FACTOR * len(x), so the unresolved top band is a
+        small fraction of all starts."""
         if x == "":
             return F(1)
         m = len(x)
-        s = 0
-        while True:
-            st = self.stage(s)
-            if st.phi.min_height >= height_factor * m and st.phi.min_height > m + 1:
-                break
-            s += 1
+        st = self._first_stage(lambda phi: phi.min_height >= ESTIMATE_HEIGHT_FACTOR * m)
         return name_measure(st.phi, x, restricted=True)
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_sequence(self, seed: int, n: int, stage: int | None = None) -> str:
-        """Name of length n read from a uniform start in the stage support.
+    def sample_sequence(self, seed: int, n: int) -> str:
+        """Name of length n read from a uniform start in the support of the
+        first stage taller than n.
 
         Starts whose remaining trajectory is shorter than n are rejected and
         redrawn (seeded), matching the restricted-measure view.
         """
-        if stage is None:
-            stage = 0
-            while self.stage(stage).phi.min_height <= n:
-                stage += 1
-        st = self.stage(stage)
-        if st.phi.min_height <= n and st.phi.max_height < n:
-            raise ValueError("gadget heights at this stage do not exceed n")
+        st = self._first_stage(lambda phi: phi.min_height > n)
         rng = random.Random(seed)
         maxh = st.phi.max_height
         while True:

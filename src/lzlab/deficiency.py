@@ -2,10 +2,12 @@
 selection procedure.
 
 The surrogate is d(x) = -log2 P_hat(x) - L(x) for a code-length functional
-L; it is one-sided (at most the true deficiency plus a code constant) since
-any monotone-decodable code length upper-bounds monotone complexity.  L
-defaults to the LZ78 payload length; the mixture-code length is selectable
-and is much tighter on the staged construction's measure class.
+L, where P_hat is the staged construction's relative-precision estimate or
+the exact probability of any other measure.  It is one-sided (at most the
+true deficiency plus a code constant) since any monotone-decodable code
+length upper-bounds monotone complexity.  L defaults to the LZ78 payload
+length; the mixture-code length is selectable and is much tighter on the
+staged construction's measure class.
 """
 
 from __future__ import annotations
@@ -33,17 +35,11 @@ def probability_estimate(measure, x: str) -> Fraction:
     """P_hat(x) at relative precision ~1/4 (half a bit of log error).
 
     Oracles exposing ``prob_estimate`` (the staged construction) are asked
-    directly; exact oracles are queried once; otherwise the query tolerance
-    is tightened until eps <= P_hat/4.
+    directly; every other measure is exact and is queried once.
     """
     if hasattr(measure, "prob_estimate"):
         return measure.prob_estimate(x)
-    eps = F(1, 64)
-    value = measure.query(x, eps)
-    while value > 0 and eps > value / 4:
-        eps = value / 8
-        value = measure.query(x, eps)
-    return value
+    return measure.query(x, F(0))
 
 
 def surrogate_deficiency(x: str, measure, code=None) -> float:

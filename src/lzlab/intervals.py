@@ -1,5 +1,5 @@
-"""Geometric types that base gadgets are built from: intervals, the binary
-partition, columns and gadgets.
+"""Geometric types that base gadgets are built from: intervals, columns and
+gadgets.
 
 Everything here is exact rational.  A gadget is capped at
 MAX_EXPLICIT_COLUMNS columns; cutting and stacking happen in
@@ -46,21 +46,6 @@ class Interval:
         if points[-1] != self.right:
             raise GadgetError("split proportions do not sum to 1")
         return [Interval(a, b) for a, b in zip(points, points[1:])]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Binary partition of [0,1): pi_1 is the marked set, pi_0 the rest."""
-
-    ones: tuple[Interval, ...]
-
-    def classify(self, iv: Interval) -> str:
-        for one in self.ones:
-            if one.contains(iv):
-                return "1"
-            if one.overlaps(iv):
-                raise GadgetError("interval straddles the partition")
-        return "0"
 
 
 @dataclass(frozen=True)
@@ -128,15 +113,6 @@ class Gadget:
     @property
     def max_height(self) -> int:
         return max(c.height for c in self.columns)
-
-
-def column_from_interval(iv: Interval, parts: int, partition: Partition) -> Column:
-    """Cut an interval into equal parts and stack them bottom-to-top,
-    naming each level by the partition element containing it."""
-    gamma = [Fraction(1, parts)] * parts
-    levels = tuple(iv.split(gamma))
-    name = "".join(partition.classify(lv) for lv in levels)
-    return Column(levels, name)
 
 
 def count_occurrences(name: str, x: str) -> int:

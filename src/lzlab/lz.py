@@ -346,6 +346,8 @@ class BlockCoder:
         cum = [0]
         for j in range(len(x) // N):
             cum.append(cum[-1] + 1 + self.inner.prefix_bits(x[j * N : (j + 1) * N], [N])[0])
+        # a position past the end codes all of x
+        positions = [min(n, len(x)) for n in positions]
         return [cum[n // N] + 1 + self_delimited_len(n % N) for n in positions]
 
 

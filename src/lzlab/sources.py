@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import log2_fraction
+from ._util import binary_entropy, cut_points, log2_fraction
 
 F = Fraction
 
@@ -117,12 +118,7 @@ class MarkovSource:
         """Sum over contexts of pi(ctx) h(row)."""
         total = 0.0
         for ctx, pi in self.stationary.items():
-            p = float(self.p_one[ctx])
-            if 0 < p < 1:
-                h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-            else:
-                h = 0.0
-            total += float(pi) * h
+            total += float(pi) * binary_entropy(self.p_one[ctx])
         return total
 
     def sample(self, seed: int, n: int) -> str:
@@ -130,14 +126,8 @@ class MarkovSource:
         rng = random.Random(seed)
         out = []
         if self.order:
-            u = F(rng.getrandbits(64), 1 << 64)
-            acc = F(0)
-            ctx = self.contexts[-1]
-            for c in self.contexts:
-                acc += self.stationary[c]
-                if u < acc:
-                    ctx = c
-                    break
+            cuts = cut_points([self.stationary[c] for c in self.contexts], F(1))
+            ctx = self.contexts[bisect_right(cuts, rng.getrandbits(64))]
             out.extend(ctx)
         state = int(ctx, 2) if self.order else 0
         mask = (1 << self.order) - 1

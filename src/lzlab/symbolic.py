@@ -41,6 +41,7 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
+from ._util import cut_points, format_rational
 from .intervals import Gadget, GadgetError, count_occurrences
 
 CLASS_TABLE_CAP = 4096
@@ -96,16 +97,6 @@ class SymbolicGadget:
         raise NotImplementedError
 
 
-def _cuts(widths, total: Fraction) -> list[int]:
-    """A 64-bit draw r picks the first part whose cumulative width exceeds
-    r / 2**64 * total, that is, the first with r < ceil(cumulative * 2**64 / total)."""
-    cuts, acc = [], Fraction(0)
-    for w in widths:
-        acc += w
-        cuts.append(math.ceil(acc * (1 << 64) / total))
-    return cuts
-
-
 class BaseNode(SymbolicGadget):
     kind = "base"
 
@@ -149,7 +140,7 @@ class BaseNode(SymbolicGadget):
     def sample_column(self, rng) -> str:
         cols = self.gadget.columns
         if self._cuts is None:
-            self._cuts = _cuts([c.width for c in cols], self.width)
+            self._cuts = cut_points([c.width for c in cols], self.width)
         return cols[bisect_right(self._cuts, rng.getrandbits(64))].name
 
 
@@ -224,7 +215,7 @@ class UnionNode(SymbolicGadget):
 
     def sample_column(self, rng) -> str:
         if self._cuts is None:
-            self._cuts = _cuts([c.width for c in self.children], self.width)
+            self._cuts = cut_points([c.width for c in self.children], self.width)
         return self.children[bisect_right(self._cuts, rng.getrandbits(64))].sample_column(rng)
 
 
@@ -638,9 +629,6 @@ def gadget_to_json(node: SymbolicGadget) -> dict:
     Rationals are "num/den" strings; base gadgets carry full interval tables.
     """
 
-    def fmt(fr: Fraction) -> str:
-        return f"{fr.numerator}/{fr.denominator}"
-
     nodes: dict[str, dict] = {}
 
     def visit(n: SymbolicGadget) -> str:
@@ -649,8 +637,8 @@ def gadget_to_json(node: SymbolicGadget) -> dict:
             return nid
         entry = {
             "kind": n.kind,
-            "width": fmt(n.width),
-            "support": fmt(n.support),
+            "width": format_rational(n.width),
+            "support": format_rational(n.support),
             "min_height": n.min_height,
             "max_height": n.max_height,
             "columns": str(n.ncols),
@@ -661,13 +649,13 @@ def gadget_to_json(node: SymbolicGadget) -> dict:
             entry["base_columns"] = [
                 {
                     "name": c.name,
-                    "width": fmt(c.width),
-                    "levels": [[fmt(iv.left), fmt(iv.right)] for iv in c.levels],
+                    "width": format_rational(c.width),
+                    "levels": [[format_rational(iv.left), format_rational(iv.right)] for iv in c.levels],
                 }
                 for c in n.gadget.columns
             ]
         elif isinstance(n, CutNode):
-            entry["gamma"] = [fmt(g) for g in n.gamma]
+            entry["gamma"] = [format_rational(g) for g in n.gamma]
             entry["index"] = n.index
             entry["child"] = visit(n.child)
         elif isinstance(n, UnionNode):

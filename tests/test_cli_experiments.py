@@ -261,6 +261,20 @@ def test_stage_failures_are_one_line_errors(tmp_path, capsys):
     assert not (tmp_path / "a.bits").exists() and not (tmp_path / "s.bits").exists()
 
 
+def test_short_sigma_table_is_a_one_line_error(tmp_path, capsys):
+    table = tmp_path / "sigma.json"
+    table.write_text("[0, 1, 2, 3]")
+    for argv in (
+        ["theorem1", "heights", "--stages", "3"],
+        ["theorem1", "build", "--mode", "faithful", "--h0", "2", "--stages", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--sigma", str(table)])
+        assert exc.value.code == "sigma table has no entry for n=4", argv
+    # build prints stage 0 before the table runs out
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["stage 0"]
+
+
 def test_theorem1_rejects_negative_stages(capsys):
     for action in ("build", "heights"):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,7 @@ from lzlab.construction import (
 )
 from lzlab.experiments import OSCILLATION_DEFAULTS, _alpha_trace, merge_config
 from lzlab.intervals import Gadget
-from lzlab.symbolic import name_measure
+from lzlab.symbolic import RsSearch, name_measure
 
 from explicit import completeness_check, materialize, transformation_extends
 from family import transformation_extends_pairwise
@@ -128,13 +128,24 @@ def test_wd_recorded_every_stage_and_faithful_enforced():
     assert c.wd(0) == (None, "none")
     assert c.wd(WD_STAGE_CAP + 1) == (None, "skipped")
     # faithful mode: stage 1 certifies wd < 1/1 with the growth schedule
-    p = ConstructionParams(
-        r=F(1, 128), epsilon=F(6, 25), h0=2, mode="faithful", sigma=lambda n: n, wd_mcap=256
-    )
+    p = ConstructionParams(r=F(1, 128), epsilon=F(6, 25), h0=2, mode="faithful", sigma=lambda n: n)
     c2 = Construction(p)
     st1 = c2.stage(1)
     assert c2.wd(1)[0] < 1
     assert st1.pi.min_height >= 2 * heights_schedule(lambda n: n, F(1, 128), 3)[3]
+
+
+def test_faithful_stage_without_a_certifying_fold_count_fails(monkeypatch):
+    # the best value of a failed search is a rational past the int-to-str
+    # digit limit, or None when the search range is empty
+    huge = F(10**5000 + 1, 3 * 10**5000)
+    for best_m, best_value, why in ((7, huge, "best 0.333333 at 7"), (None, None, "none tried")):
+        monkeypatch.setattr(
+            construction, "find_rs", lambda *args, **kw: RsSearch(False, None, None, best_m, best_value)
+        )
+        p = ConstructionParams(r=F(1, 128), epsilon=F(6, 25), h0=2, mode="faithful", sigma=lambda n: n)
+        with pytest.raises(StageFailure, match=f"^stage 1: no fold count .*{why}"):
+            Construction(p).stage(1)
 
 
 def test_building_computes_no_well_distributedness(monkeypatch):

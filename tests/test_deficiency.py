@@ -10,6 +10,7 @@ from lzlab.deficiency import (
     cylinder_mass,
     deficiency_curve,
     monotone_length,
+    probability_estimate,
     select_subset,
     selection_threshold,
     surrogate_deficiency,
@@ -137,6 +138,22 @@ def test_surrogate_deficiency_header_coder_constant():
     for x in ("0", "0101", "1" * 30):
         d = surrogate_deficiency(x, measure, code=HeaderCoder())
         assert d == pytest.approx(-16.0, abs=1e-9)
+
+
+def test_probability_estimate_queries_an_exact_measure_once():
+    class Counting:
+        def __init__(self, measure):
+            self.measure = measure
+            self.queries = 0
+
+        def query(self, x, eps):
+            self.queries += 1
+            return self.measure.query(x, eps)
+
+    measure = Counting(bernoulli(F(1, 2)))
+    x = "0110" * 10
+    assert probability_estimate(measure, x) == F(1, 2**40)
+    assert measure.queries == 1
 
 
 def zero_run_payload_bits(n: int) -> int:

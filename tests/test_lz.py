@@ -334,6 +334,7 @@ def test_ratio_hand_example():
         BlockCoder(64, MixtureCoder(2)),
         BlockCoder(16, LZWindowCoder()),
         BlockCoder(32, VerbatimCoder()),
+        MixtureCoder(2),
     ],
 )
 def test_prefix_bits_match_reencoding(coder):
@@ -341,7 +342,8 @@ def test_prefix_bits_match_reencoding(coder):
     x = "".join(rng.choice("01") for _ in range(700))
     x = x[:350] + "0" * 200 + x[350:500]
     # "0000" parses as 0, 00, 0: it ends inside an incomplete LZ78 phrase
-    for word, ns in ((x, [0, *range(1, len(x) + 1, 13), len(x)]), ("0000", [0, 1, 2, 3, 4])):
+    ns = [0, *range(1, len(x) + 1, 13), len(x), len(x) + 1, len(x) + 100]
+    for word, ns in ((x, ns), ("0000", [0, 1, 2, 3, 4])):
         got = coder.prefix_bits(word, ns)
         want = [len(coder.encode(word[:n])) for n in ns]
         assert got == want
