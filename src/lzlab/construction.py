@@ -111,7 +111,7 @@ def heights_schedule(sigma, r: Fraction, count: int) -> list[int]:
                 raise SigmaExhausted("height cap reached before satisfying the gap")
             v = sig(h)
             if v < prev_sig:
-                raise ValueError("sigma must be nondecreasing")
+                raise StageFailure("sigma must be nondecreasing")
             if _gap_satisfied(v - prev_sig, i, r):
                 break
             h += 1

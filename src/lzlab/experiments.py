@@ -8,7 +8,9 @@ Three headline experiments plus the deficiency demo:
 * deficiency   -- surrogate deficiency of the trace vs a random control.
 
 All randomness flows from one master seed through named streams; outputs are
-CSV files plus a JSON summary that echoes the full configuration.
+CSV files plus a JSON summary that echoes the full configuration.  Each
+runner spreads its independent jobs (coders, sources, checkpoint words) over
+forked workers, one per CPU the process may use, with identical outputs.
 """
 
 from __future__ import annotations
@@ -143,6 +145,29 @@ def _finish(summary: dict, experiment: str, csvs: dict[str, str], outdir: str | 
     return summary
 
 
+def parallel_map(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, with the jobs handed out in order to
+    forked worker processes, one per CPU this process may run on and at most
+    one per job.  ``fn`` must be a module-level function, and jobs and
+    results must pickle.  A job's exception is raised here; the pool is
+    closed, and its workers joined, before this returns or raises.
+
+    Forked workers start without importing lzlab again, which is what makes
+    sub-second jobs worth sending.  Forking a process that runs other
+    threads can deadlock the child, so such a process runs the jobs itself."""
+    import threading
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers <= 1 or threading.active_count() > 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _coder_suite(cfg):
     return [
         LZ78Coder(),
@@ -178,6 +203,11 @@ def _alpha_trace(cfg: dict, stream: str):
     return construction, trace
 
 
+def _prefix_bits(job) -> list[int]:
+    coder, x, positions = job
+    return coder.prefix_bits(x, positions)
+
+
 def run_oscillation(config: dict | None = None, outdir: str | None = None) -> dict:
     cfg = merge_config(OSCILLATION_DEFAULTS, config)
     _, trace = _alpha_trace(cfg, "alpha")
@@ -204,8 +234,9 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
         "checks": [],
     }
     curves = {}
-    for coder in _coder_suite(cfg):
-        bits = coder.prefix_bits(alpha, positions)
+    coders = _coder_suite(cfg)
+    all_bits = parallel_map(_prefix_bits, [(coder, alpha, positions) for coder in coders])
+    for coder, bits in zip(coders, all_bits):
         at = dict(zip(positions, bits))
         curve_points = [
             (m, at[m], F(at[m], m)) for m in range(stride, n + 1, stride)
@@ -258,26 +289,32 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     return _finish(summary, "oscillation", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
+def _robustness_report(job):
+    source, n, block_lengths, seed, stride = job
+    return robustness_experiment(
+        source,
+        LZ78Coder(),
+        n,
+        block_lengths,
+        seed=stream_seed(seed, f"robustness:{source.name}"),
+        stride=stride,
+    )
+
+
 def run_robustness(config: dict | None = None, outdir: str | None = None) -> dict:
     cfg = merge_config(ROBUSTNESS_DEFAULTS, config)
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     stride = int(cfg["stride"])
-    coder = LZ78Coder()
+    block_lengths = [int(N) for N in cfg["block_lengths"]]
     flip = flip_chain(parse_rational(cfg["flip_p"]))
     fair = bernoulli(F(1, 2))
+    sources = (flip, fair)
     reports = {}
     summary = {"config": cfg, "sources": {}, "checks": []}
     curves = {}
-    for source in (flip, fair):
-        rep = robustness_experiment(
-            source,
-            coder,
-            n,
-            [int(N) for N in cfg["block_lengths"]],
-            seed=stream_seed(seed, f"robustness:{source.name}"),
-            stride=stride,
-        )
+    jobs = [(source, n, block_lengths, seed, stride) for source in sources]
+    for source, rep in zip(sources, parallel_map(_robustness_report, jobs)):
         reports[source.name] = rep
         for key, curve in rep.curves.items():
             curves[f"{source.name}_{key}"] = curve.points
@@ -330,11 +367,19 @@ def _second_order_source() -> MarkovSource:
     )
 
 
+def _universality_rates(job) -> tuple[float, list[int]]:
+    """One source's mixture rate and LZ78 prefix bits, each on its own sample."""
+    source, seed, kmax, n_mix, n_lz, lz_positions = job
+    x = source.sample(stream_seed(seed, f"universality:{source.name}"), n_mix)
+    mix_rate = MixtureCoder(kmax).payload_code_len(x) / n_mix
+    xl = source.sample(stream_seed(seed, f"universality-lz:{source.name}"), n_lz)
+    return mix_rate, LZ78Coder().prefix_bits(xl, lz_positions)
+
+
 def run_universality(config: dict | None = None, outdir: str | None = None) -> dict:
     cfg = merge_config(UNIVERSALITY_DEFAULTS, config)
     seed = int(cfg["seed"])
-    mixture = MixtureCoder(int(cfg["mixture_kmax"]))
-    lz = LZ78Coder()
+    kmax = int(cfg["mixture_kmax"])
     n_mix = int(cfg["mixture_n"])
     n_lz = int(cfg["lz_n"])
     tol = float(parse_rational(cfg["mixture_tolerance"]))
@@ -343,13 +388,11 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     stride = int(cfg["stride"])
     summary = {"config": cfg, "sources": {}, "checks": []}
     curves = {}
-    for source in (bernoulli(F(1, 5)), flip_chain(F(1, 10)), _second_order_source()):
+    lz_positions = sorted(set(range(stride, n_lz + 1, stride)) | {n_lz})
+    sources = (bernoulli(F(1, 5)), flip_chain(F(1, 10)), _second_order_source())
+    jobs = [(source, seed, kmax, n_mix, n_lz, lz_positions) for source in sources]
+    for source, (mix_rate, lz_bits) in zip(sources, parallel_map(_universality_rates, jobs)):
         H = source.entropy_rate()
-        x = source.sample(stream_seed(seed, f"universality:{source.name}"), n_mix)
-        mix_rate = mixture.payload_code_len(x) / n_mix
-        xl = source.sample(stream_seed(seed, f"universality-lz:{source.name}"), n_lz)
-        lz_positions = sorted(set(range(stride, n_lz + 1, stride)) | {n_lz})
-        lz_bits = lz.prefix_bits(xl, lz_positions)
         curves[f"{source.name}_lz78"] = [
             (m, b, F(b, m)) for m, b in zip(lz_positions, lz_bits)
         ]
@@ -379,6 +422,13 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     return _finish(summary, "universality", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
+def _dhat(job) -> float:
+    """Surrogate deficiency -log2 P_hat(word) - L(word) of one checkpoint word."""
+    construction, mixture, word = job
+    p_hat = probability_estimate(construction, word)
+    return -log2_fraction(p_hat) - monotone_length(mixture, word)
+
+
 def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dict:
     cfg = merge_config(DEFICIENCY_DEFAULTS, config)
     seed = int(cfg["seed"])
@@ -389,20 +439,18 @@ def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dic
     sigma = lambda m: scale * (m + 1).bit_length()
     c0 = int(cfg["c0"])
 
-    def dhat(word: str) -> float:
-        p_hat = probability_estimate(construction, word)
-        return -log2_fraction(p_hat) - monotone_length(mixture, word)
-
-    alpha_points = []
-    for m in cfg["alpha_checkpoints"]:
-        m = int(m)
-        alpha_points.append({"n": m, "dhat": dhat(alpha[:m]), "sigma": sigma(m)})
+    alpha_ns = [int(m) for m in cfg["alpha_checkpoints"]]
+    control_ns = [int(m) for m in cfg["control_checkpoints"]]
     control_rng_seed = stream_seed(seed, "deficiency-control")
     control = bernoulli(F(1, 2)).sample(control_rng_seed, int(cfg["control_n"]))
-    control_points = []
-    for m in cfg["control_checkpoints"]:
-        m = int(m)
-        control_points.append({"n": m, "dhat": dhat(control[:m])})
+    words = [alpha[:m] for m in alpha_ns] + [control[:m] for m in control_ns]
+    dhats = parallel_map(_dhat, [(construction, mixture, word) for word in words])
+    alpha_points = [
+        {"n": m, "dhat": d, "sigma": sigma(m)} for m, d in zip(alpha_ns, dhats)
+    ]
+    control_points = [
+        {"n": m, "dhat": d} for m, d in zip(control_ns, dhats[len(alpha_ns):])
+    ]
     r = parse_rational(cfg["r"])
     bound = 0.5 * int(cfg["control_n"]) * math.log2(1 / (1 - float(r)))
     final_control = control_points[-1]["dhat"]

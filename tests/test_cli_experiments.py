@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import sys
+import threading
 
 import pytest
 
@@ -14,7 +16,9 @@ from lzlab.experiments import (
     CSV_HEADER,
     DEFICIENCY_DEFAULTS,
     OSCILLATION_DEFAULTS,
+    RUNNERS,
     merge_config,
+    parallel_map,
     run_experiment,
     run_robustness,
     run_universality,
@@ -273,6 +277,11 @@ def test_short_sigma_table_is_a_one_line_error(tmp_path, capsys):
         assert exc.value.code == "sigma table has no entry for n=4", argv
     # build prints stage 0 before the table runs out
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["stage 0"]
+    # a decreasing table is a one-line error too
+    table.write_text("[0, 5, 3, 4, 9, 20, 40, 80]")
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem1", "heights", "--sigma", str(table), "--stages", "2"])
+    assert exc.value.code == "sigma must be nondecreasing"
 
 
 def test_theorem1_rejects_negative_stages(capsys):
@@ -403,3 +412,90 @@ def test_source_named_runners_write_outdir(tmp_path):
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         run_experiment({"experiment": "nope"})
+
+
+# every runner at a config small enough to run twice in a few seconds
+SMALL_RUNNER_CONFIGS = {
+    "oscillation": {
+        "h0": 16,
+        "fold_schedule": [4, 4, 4, 4, 2, 2],
+        "initial_length": 24,
+        "schedule": [
+            {"kind": "sparse", "stage": 1, "parts": 8},
+            {"kind": "incompressible", "stage": 2},
+            {"kind": "sparse", "stage": 3, "parts": 3},
+        ],
+        "stride": 512,
+        "min_length": 1000,
+        "block_len": 512,
+    },
+    "deficiency": {
+        "h0": 16,
+        "schedule": [
+            {"kind": "sparse", "stage": 1, "parts": 8},
+            {"kind": "incompressible", "stage": 2},
+        ],
+        "initial_length": 24,
+        "alpha_checkpoints": [256, 512],
+        "control_checkpoints": [500, 1000],
+        "control_n": 1000,
+    },
+    "universality": {"mixture_n": 500, "lz_n": 2048, "stride": 1024},
+    "robustness": {"n": 4096, "stride": 1024, "block_lengths": [64, 256]},
+}
+
+
+def _worker_pid(_job) -> int:
+    return os.getpid()
+
+
+def _run_on_cpus(monkeypatch, cpus, fn, *args):
+    """fn(*args) with the CPUs this process may use reported as ``cpus``."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        return fn(*args)
+
+
+def test_parallel_map_runs_jobs_in_order_in_workers(monkeypatch):
+    assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, [-3, 1, -2, 5, -4]) == [3, 1, 2, 5, 4]
+    pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [0, 1])
+    assert os.getpid() not in pids
+    assert _run_on_cpus(monkeypatch, {0}, parallel_map, _worker_pid, [0, 1]) == [os.getpid()] * 2
+    assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, []) == []
+    # a process running another thread is not forked
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [0, 1])
+    finally:
+        release.set()
+        waiter.join(30)
+    assert pids == [os.getpid()] * 2 and not waiter.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNNER_CONFIGS))
+def test_runners_identical_on_one_and_two_cpus(monkeypatch, tmp_path, name):
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        outdir = tmp_path / str(len(cpus))
+        cfg = dict(SMALL_RUNNER_CONFIGS[name], seed=11)
+        summary = _run_on_cpus(monkeypatch, cpus, RUNNERS[name], cfg, str(outdir))
+        assert multiprocessing.active_children() == [], cpus
+        files = {f: (outdir / f).read_bytes() for f in sorted(os.listdir(outdir))}
+        outputs.append((json.dumps(summary, sort_keys=True), files))
+    assert outputs[0] == outputs[1]
+    assert f"{name}_summary.json" in outputs[0][1]
+
+
+def test_failed_job_raises_as_in_the_serial_path(monkeypatch):
+    for cpus in ({0}, {0, 1}):
+        with pytest.raises(ValueError):
+            _run_on_cpus(monkeypatch, cpus, parallel_map, int, ["1", "x", "3"])
+        assert multiprocessing.active_children() == [], cpus
+        # a block length of 0 fails inside robustness's per-source job
+        with pytest.raises(ValueError):
+            _run_on_cpus(monkeypatch, cpus, run_robustness,
+                         {"n": 1024, "stride": 512, "block_lengths": [0]})
+        assert multiprocessing.active_children() == [], cpus

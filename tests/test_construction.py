@@ -58,7 +58,7 @@ def test_heights_schedule_table_and_errors():
     assert heights_schedule(table, F(1, 2), 2) == [1, 16, 32]
     with pytest.raises(SigmaExhausted):
         heights_schedule(list(range(20)), F(1, 2), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(StageFailure, match="sigma must be nondecreasing"):
         heights_schedule(lambda n: -n, F(1, 2), 1)
 
 
