@@ -11,18 +11,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 
 from ._util import format_rational, parse_rational, write_atomic, write_json_atomic
 from .bitio import read_bits_file, write_bits_file
 from .construction import Construction, ConstructionParams, StageFailure, build_alpha, heights_schedule
 from .deficiency import deficiency_curve
-from .ktmix import MixtureCoder, QuantizedMixturePredictor
+from .ktmix import MixtureCoder
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_curve
 from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 from .symbolic import gadget_to_json, well_distributedness_mfold
-from . import arith, experiments
+from . import experiments
 
 
 def _make_coder(args):
@@ -120,23 +119,11 @@ def cmd_mixture(args):
     coder = MixtureCoder(args.kmax)
     stride = args.stride or max(1, len(word) // 32)
     positions = list(range(stride, len(word) + 1, stride))
-    bits = coder.prefix_bits(word, positions)
-    # ideal per-symbol cost tracked by the quantized predictor
-    pred = QuantizedMixturePredictor(args.kmax)
-    neg_log = 0.0
-    acc = {}
-    want = set(positions)
-    for t, ch in enumerate(word, start=1):
-        c = pred.prob0_scaled()
-        p0 = c / (1 << arith.PROB_BITS)
-        bit = 1 if ch == "1" else 0
-        neg_log -= math.log2(1 - p0 if bit else p0)
-        pred.update(bit)
-        if t in want:
-            acc[t] = neg_log
+    neg_log: list[float] = []  # ideal cost of each prefix under the quantized predictor
+    bits = coder.prefix_bits(word, positions, neg_log)
     text = experiments.csv_text(
         ["n", "neg_log_rho_per_symbol", "code_bits"],
-        ([n, f"{acc[n] / n:.8f}", b] for n, b in zip(positions, bits)),
+        ([n, f"{neg_log[n - 1] / n:.8f}", b] for n, b in zip(positions, bits)),
     )
     _write_csv(args.csv, text, len(positions))
 
@@ -178,12 +165,10 @@ def cmd_gadget(args):
                 json.dump(payload, sys.stdout)
                 print()
         else:
-            s = args.against if args.against is not None else args.stage
-            if s < 1:
-                raise SystemExit(f"stage {s} has no fold count; well-distributedness needs a stage >= 1")
-            st = c.stage(s)
-            value = well_distributedness_mfold(st.fold_base, st.r_used)
-            print(f"stage {s}: wd = {format_rational(value)} ({float(value):.6f})")
+            if args.stage < 1:
+                raise SystemExit(f"stage {args.stage} has no fold count; well-distributedness needs a stage >= 1")
+            value = well_distributedness_mfold(stage.fold_base, stage.r_used)
+            print(f"stage {args.stage}: wd = {format_rational(value)} ({float(value):.6f})")
 
 
 def cmd_theorem1(args):
@@ -201,13 +186,15 @@ def cmd_theorem1(args):
             )
     elif args.action == "alpha":
         c = _construction_from_args(args)
-        schedule = experiments._spec_list(json.loads(args.schedule))[: args.steps]
+        schedule = experiments._spec_list(json.loads(args.schedule))
         trace = build_alpha(c, schedule, initial_length=args.initial, seed=args.seed)
         write_bits_file(args.out, trace.bits)
         if args.trace:
             write_json_atomic(args.trace, trace.to_json())
         print(f"alpha: {len(trace.bits)} symbols, {len(trace.fragments)} fragments")
     elif args.action == "sample":
+        if args.len < 1:
+            raise SystemExit(f"--len {args.len} is below 1")
         c = _construction_from_args(args)
         word = c.sample_sequence(args.seed, args.len)
         write_bits_file(args.out, word)
@@ -300,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="inspect construction gadgets")
     p.add_argument("action", choices=["dump", "stats", "wd"])
     p.add_argument("--stage", type=int, default=1)
-    p.add_argument("--against", type=int, default=None)
     p.add_argument("--out", default=None)
     _add_construction_flags(p)
     p.set_defaults(func=cmd_gadget)
@@ -308,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1", help="build stages, the trace, or samples")
     p.add_argument("action", choices=["build", "alpha", "sample", "heights"])
     p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--steps", type=int, default=99)
     p.add_argument(
         "--schedule",
         default=json.dumps(experiments.OSCILLATION_DEFAULTS["schedule"]),
@@ -355,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except StageFailure as exc:  # a construction that cannot build a stage
+    except (StageFailure, ValueError, OSError) as exc:  # rejected input or a stage that cannot be built
         raise SystemExit(str(exc)) from None
     return 0
 

@@ -10,6 +10,7 @@ length on test scales (quantization adds less than n * 2**-24 bits).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import arith
@@ -186,19 +187,27 @@ class MixtureCoder:
         self.kmax = kmax
         self.name = f"mixture{kmax}"
 
-    def _code(self, x: str, positions=()) -> tuple[arith.ArithmeticEncoder, list[int]]:
+    def _code(self, x: str, positions=(), neg_log=None) -> tuple[arith.ArithmeticEncoder, list[int]]:
         """The one coding pass over x.  Returns the encoder after all of x and,
         for each n in positions, the payload length had coding stopped at
-        x[:n] (positions past the end count as len(x))."""
+        x[:n] (positions past the end count as len(x)).  Given a list
+        neg_log, appends to it after each symbol the running sum of -log2 of
+        the probabilities coded so far."""
         want = set(positions)
         at: dict[int, int] = {}
         pred = QuantizedMixturePredictor(self.kmax)
         enc = arith.ArithmeticEncoder()
+        total = 0.0
         for t, ch in enumerate(x):
             if t in want:
                 at[t] = enc.finish_length()
             bit = 1 if ch == "1" else 0
-            enc.encode_bit(pred.prob0_scaled(), bit)
+            c = pred.prob0_scaled()
+            enc.encode_bit(c, bit)
+            if neg_log is not None:
+                p0 = c / (1 << PROB_BITS)
+                total -= math.log2(1 - p0 if bit else p0)
+                neg_log.append(total)
             pred.update(bit)
         return enc, [at[n] if n in at else enc.finish_length() for n in positions]
 
@@ -219,9 +228,10 @@ class MixtureCoder:
             out.append("1" if bit else "0")
         return "".join(out), used
 
-    def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
-        """Exact codeword length of every prefix in one coding pass."""
-        _, lens = self._code(x, positions)
+    def prefix_bits(self, x: str, positions: list[int], neg_log=None) -> list[int]:
+        """Exact codeword length of every prefix in one coding pass; a list
+        neg_log is filled as in ``_code``."""
+        _, lens = self._code(x, positions, neg_log)
         return [
             self_delimited_len(encode_int_len(min(n, len(x)) + 1) + ln)
             for n, ln in zip(positions, lens)

@@ -25,11 +25,15 @@ m-fold is a repeated stack.
 Name-measure tables and moments share one exact representation.  Every
 value is n / (Q * 2**e): an entry holds an integer n and a binary exponent
 e, and a node (per query word, or per moment order p) holds one odd
-denominator Q.  Products multiply numerators and add exponents, sums shift
-the term with the smaller exponent, and a union lifts each child to a
-common Q and moves the power of two of its width share into the exponents.
-Once per node Q and the numerators are divided by their gcd; a Fraction is
-built only where a result leaves the module.
+denominator Q beside its tables, dicts of entries.  Products multiply
+numerators and add exponents, and sums shift the term with the smaller
+exponent.  Every sum of values over different Q -- a union of children, a
+base gadget's columns, the closed form of well-distributedness -- is one
+weighted sum (``_weighted_sum``): it lifts each part to a common Q, moves
+the power of two of the part's weight into the exponents, and adds.  Once
+per node Q and the numerators are divided by their gcd.  The column-class
+tables and the enumeration of well-distributedness still work on Fractions;
+everything else builds a Fraction only where a result leaves the module.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class SymbolicGadget:
         self.max_gamma: Fraction = Fraction(0)
         self.uniform_height: int | None = None
         self._classes = -1  # lazy; -1 = not computed, None = over cap
-        self._moments: dict[int, tuple[int, tuple]] = {}
+        self._moments: dict[int, tuple[int, dict]] = {}
 
     # -- column classes: (width share, height, count) of interchangeable columns
     def classes(self):
@@ -80,10 +84,10 @@ class SymbolicGadget:
     # -- moments T(p, q) = sum_D gamma_D^p h_D^q for q = 0, 1, 2
     def moments(self, p: int) -> tuple[Fraction, Fraction, Fraction]:
         q, t = self._moments_of(p)
-        return tuple(_fraction(n, q, e) for n, e in t)
+        return tuple(_fraction(*t[i], q) for i in range(3))
 
     def _moments_of(self, p: int):
-        """(Q, ((n0, e0), (n1, e1), (n2, e2))) with T(p, q) = n_q / (Q * 2**e_q)."""
+        """(Q, {q: (n_q, e_q)}) with T(p, q) = n_q / (Q * 2**e_q), q = 0, 1, 2."""
         got = self._moments.get(p)
         if got is None:
             got = self._moments[p] = self._compute_moments(p)
@@ -133,8 +137,8 @@ class BaseNode(SymbolicGadget):
 
     def _compute_moments(self, p):
         """The union of its columns; one column alone has T(p, q) = h**q."""
-        return _union_moments(
-            [((1, ((1, 0), (c.height, 0), (c.height**2, 0))), c.width / self.width)
+        return _weighted_sum(
+            [((1, {0: (1, 0), 1: (c.height, 0), 2: (c.height**2, 0)}), c.width / self.width)
              for c in self.gadget.columns], p)
 
     def sample_column(self, rng) -> str:
@@ -211,7 +215,7 @@ class UnionNode(SymbolicGadget):
         return out
 
     def _compute_moments(self, p):
-        return _union_moments([(c._moments_of(p), c.width / self.width) for c in self.children], p)
+        return _weighted_sum([(c._moments_of(p), c.width / self.width) for c in self.children], p)
 
     def sample_column(self, rng) -> str:
         if self._cuts is None:
@@ -330,7 +334,7 @@ def union(*nodes: SymbolicGadget) -> UnionNode:
 # exact values n / (Q * 2**e)
 
 
-def _fraction(n: int, q: int, e: int) -> Fraction:
+def _fraction(n: int, e: int, q: int) -> Fraction:
     return Fraction(n, q << e) if e >= 0 else Fraction(n << -e, q)
 
 
@@ -359,17 +363,24 @@ def _reduce(q: int, tables) -> int:
     return q // g
 
 
-def _union_lifts(parts, p: int = 1):
-    """Children (q, u) weighted by u**p, u = a / (q' * 2**k) with q' odd:
-    the lcm L of every q * q'**p, and per child the numerator factor
-    a**p * L / (q * q'**p) and the exponent k * p."""
-    split = []
-    for q, u in parts:
+def _weighted_sum(parts, p: int = 1):
+    """Sum of values (q, *tables) weighted by u**p, over parts (value, u), as
+    one reduced value (Q, *tables).  With u = a / (q' * 2**k) and q' odd, a
+    part's numerators are lifted by a**p * Q / (q * q'**p) to Q, the lcm of
+    every q * q'**p, and its exponents rise by k * p."""
+    lifts = []
+    for (q, *tables), u in parts:
         den = u.denominator
         k = (den & -den).bit_length() - 1
-        split.append((u.numerator**p, q * (den >> k) ** p, k * p))
-    L = math.lcm(*(s[1] for s in split))
-    return L, [(a * (L // q), k) for a, q, k in split]
+        lifts.append((u.numerator**p, q * (den >> k) ** p, k * p, tables))
+    big_q = math.lcm(*(d for _, d, _, _ in lifts))
+    acc = [{} for _ in lifts[0][3]]
+    for a, d, k, tables in lifts:
+        lift = a * (big_q // d)
+        for out, t in zip(acc, tables):
+            for key, (n, e) in t.items():
+                out[key] = _add(out.get(key, (0, 0)), (n * lift, e + k))
+    return (_reduce(big_q, acc), *acc)
 
 
 def _power(f, k: int, combine):
@@ -385,60 +396,43 @@ def _power(f, k: int, combine):
 
 
 # ---------------------------------------------------------------------------
-# moments: (Q, (T0, T1, T2)) with entries (n, e)
+# moments: (Q, {0: T0, 1: T1, 2: T2}) with entries (n, e)
 
 
-def _reduced_moments(q: int, t: dict):
-    q = _reduce(q, (t,))
-    return q, (t[0], t[1], t[2])
-
-
-def _union_moments(parts, p: int):
-    """Sum of child moments weighted by width shares u**p."""
-    L, lifts = _union_lifts([(m[0], u) for m, u in parts], p)
-    acc = {0: (0, 0), 1: (0, 0), 2: (0, 0)}
-    for ((_, t), _), (lift, k) in zip(parts, lifts):
-        for i, (n, e) in enumerate(t):
-            acc[i] = _add(acc[i], (n * lift, e + k))
-    return _reduced_moments(L, acc)
-
-
-def _stack_moments(a, b):
+def _stack_moments(lower, upper):
     """Moments of a stack: shares multiply and heights add, so T(p, 2)
     expands binomially."""
-    (qa, (a0, a1, a2)), (qb, (b0, b1, b2)) = a, b
-    cross = (a1[0] * b1[0], a1[1] + b1[1] - 1)  # 2 * T_a(1) * T_b(1)
-    return _reduced_moments(qa * qb, {
-        0: _mul(a0, b0),
-        1: _add(_mul(a1, b0), _mul(a0, b1)),
-        2: _add(_add(_mul(a2, b0), _mul(a0, b2)), cross),
-    })
+    (qa, a), (qb, b) = lower, upper
+    cross = (a[1][0] * b[1][0], a[1][1] + b[1][1] - 1)  # 2 * T_a(1) * T_b(1)
+    t = {
+        0: _mul(a[0], b[0]),
+        1: _add(_mul(a[1], b[0]), _mul(a[0], b[1])),
+        2: _add(_add(_mul(a[2], b[0]), _mul(a[0], b[2])), cross),
+    }
+    return _reduce(qa * qb, (t,)), t
 
 
 # ---------------------------------------------------------------------------
 # name-measure dynamic programming
 
 
-class _F:
-    __slots__ = ("q", "occ", "pre", "suf", "exa", "top")  # entries (n, e) are n / (q * 2**e)
+class _F(NamedTuple):
+    """Functionals of one node for one query word; entries (n, e) are
+    n / (q * 2**e), and ends holds {0: occ, 1: top}."""
 
-    def __init__(self, q=1, occ=(0, 0), pre=None, suf=None, exa=None, top=(0, 0)):
-        self.q, self.occ, self.top = q, occ, top
-        self.pre, self.suf, self.exa = pre or {}, suf or {}, exa or {}
-
-
-def _reduce_f(f: _F) -> _F:
-    ends = {0: f.occ, 1: f.top}
-    f.q = _reduce(f.q, (ends, f.pre, f.suf, f.exa))
-    f.occ, f.top = ends[0], ends[1]
-    return f
+    q: int
+    ends: dict
+    pre: dict
+    suf: dict
+    exa: dict
 
 
 def _combine(A: _F, B: _F, m: int) -> _F:
     """Functionals of the concatenation (A below, B above, independent),
     over q = A.q * B.q; a term of one side alone is lifted by the other q."""
     qa, qb = A.q, B.q
-    occ = _add((A.occ[0] * qb, A.occ[1]), (B.occ[0] * qa, B.occ[1]))
+    (na, ea), (nb, eb) = A.ends[0], B.ends[0]
+    occ = _add((na * qb, ea), (nb * qa, eb))
     for k, (n, e) in A.suf.items():
         pv = B.pre.get(k)
         if pv is not None:
@@ -449,7 +443,7 @@ def _combine(A: _F, B: _F, m: int) -> _F:
         if pv is not None:
             pre[a] = _add(pre.get(a, (0, 0)), (n * pv[0], e + pv[1]))
     suf = {k: (n * qa, e) for k, (n, e) in B.suf.items()}
-    top = (B.top[0] * qa, B.top[1])
+    top = (B.ends[1][0] * qa, B.ends[1][1])
     by_start: dict[int, list] = {}
     for (c, b), (n, e) in B.exa.items():
         by_start.setdefault(c, []).append((b, n, e))
@@ -464,7 +458,8 @@ def _combine(A: _F, B: _F, m: int) -> _F:
     for (a, c), (n, e) in A.exa.items():
         for b, n2, e2 in by_start.get(c, ()):
             exa[a, b] = _add(exa.get((a, b), (0, 0)), (n * n2, e + e2))
-    return _reduce_f(_F(qa * qb, occ, pre, suf, exa, top))
+    tables = ({0: occ, 1: top}, pre, suf, exa)
+    return _F(_reduce(qa * qb, tables), *tables)
 
 
 def _uniform_functionals(h: int, x: str) -> _F:
@@ -473,20 +468,7 @@ def _uniform_functionals(h: int, x: str) -> _F:
     occ, top = ((h - m + 1, m), (1, m)) if h >= m else ((0, 0), (0, 0))
     pre = {j: (1, m - j) for j in range(max(1, m - h), m)}
     suf = {k: (1, k) for k in range(1, min(m - 1, h) + 1)}
-    return _F(1, occ, pre, suf, {(a, a + h): (1, h) for a in range(1, m - h + 1)}, top)
-
-
-def _union_functionals(parts) -> _F:
-    """Sum of child functionals f weighted by width shares u."""
-    L, lifts = _union_lifts([(f.q, u) for f, u in parts])
-    acc = _F(L)
-    for (f, _), (lift, k) in zip(parts, lifts):
-        acc.occ = _add(acc.occ, (f.occ[0] * lift, f.occ[1] + k))
-        acc.top = _add(acc.top, (f.top[0] * lift, f.top[1] + k))
-        for d_acc, d_f in ((acc.pre, f.pre), (acc.suf, f.suf), (acc.exa, f.exa)):
-            for key, (n, e) in d_f.items():
-                d_acc[key] = _add(d_acc.get(key, (0, 0)), (n * lift, e + k))
-    return _reduce_f(acc)
+    return _F(1, {0: occ, 1: top}, pre, suf, {(a, a + h): (1, h) for a in range(1, m - h + 1)})
 
 
 def _base_functionals(node: BaseNode, x: str) -> _F:
@@ -495,15 +477,16 @@ def _base_functionals(node: BaseNode, x: str) -> _F:
     parts = []
     for col in node.gadget.columns:
         name, ln = col.name, len(col.name)
-        f = _F(occ=(count_occurrences(name, x), 0), top=(int(ln >= m and name.endswith(x)), 0))
-        f.pre = {j: (1, 0) for j in range(max(1, m - ln), m) if name.startswith(x[j:])}
-        f.suf = {k: (1, 0) for k in range(1, min(m - 1, ln) + 1) if name.endswith(x[:k])}
+        ends = {0: (count_occurrences(name, x), 0), 1: (int(ln >= m and name.endswith(x)), 0)}
+        pre = {j: (1, 0) for j in range(max(1, m - ln), m) if name.startswith(x[j:])}
+        suf = {k: (1, 0) for k in range(1, min(m - 1, ln) + 1) if name.endswith(x[:k])}
+        exa = {}
         pos = x.find(name, 1) if ln < m else -1
         while pos != -1 and pos + ln <= m:
-            f.exa[pos, pos + ln] = (1, 0)
+            exa[pos, pos + ln] = (1, 0)
             pos = x.find(name, pos + 1)
-        parts.append((f, col.width / node.width))
-    return _union_functionals(parts)
+        parts.append((_F(1, ends, pre, suf, exa), col.width / node.width))
+    return _F(*_weighted_sum(parts))
 
 
 class _NameQuery:
@@ -527,7 +510,7 @@ class _NameQuery:
                 f = self._cut_children[id(node.child)] = self.functionals(node.child)
             return f
         if isinstance(node, UnionNode):
-            return _union_functionals([(self.functionals(c), c.width / node.width) for c in node.children])
+            return _F(*_weighted_sum([(self.functionals(c), c.width / node.width) for c in node.children]))
         if isinstance(node, StackNode):
             return _combine(self.functionals(node.lower), self.functionals(node.upper), m)
         if isinstance(node, MFoldNode):
@@ -546,8 +529,9 @@ def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
     if x == "":
         return node.support
     f = _NameQuery(x, force_generic).functionals(node)
-    n, e = _add(f.occ, (-f.top[0], f.top[1])) if restricted else f.occ
-    return _fraction(n * node.width.numerator, f.q * node.width.denominator, e)
+    occ, top = f.ends[0], f.ends[1]
+    n, e = _add(occ, (-top[0], top[1])) if restricted else occ
+    return _fraction(n * node.width.numerator, e, f.q * node.width.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -582,30 +566,21 @@ def _wd_enum(classes, W: Fraction, M: int) -> Fraction:
     return total * W / M
 
 
-def _alternating(node: SymbolicGadget, M: int, k: int):
-    """sum_{j < M} (-1)**j C(M - 1, j) T(j + k, k) as (Q, (n, e))."""
-    terms = [node._moments_of(j + k) for j in range(M)]
-    q = math.lcm(*(qj for qj, _ in terms))
-    acc = (0, 0)
-    for j, (qj, t) in enumerate(terms):
-        n, e = t[k]
-        c = math.comb(M - 1, j) * (q // qj)
-        acc = _add(acc, (-c * n if j & 1 else c * n, e))
-    return q, acc
-
-
 def _wd_closed(node: SymbolicGadget, M: int) -> Fraction:
     """Closed form, valid when every |c_D - w_D * H| resolves by sign:
     requires max column width * M * max height < 1.  It is
     lam (1 - lam) + 2 W**2 (eta A - B) with eta the mean height and A, B the
-    alternating sums of T(j + 1, 1) and T(j + 2, 2)."""
+    alternating sums over j < M of (-1)**j C(M - 1, j) T(j + 1, 1) and
+    T(j + 2, 2), summed as one weighted sum."""
     W, lam = node.width, node.support
-    qe, (_, eta, _) = node._moments_of(1)
-    qa, a = _alternating(node, M, 1)
-    qb, b = _alternating(node, M, 2)
-    q = math.lcm(qe * qa, qb)
-    n, e = _add((eta[0] * a[0] * (q // (qe * qa)), eta[1] + a[1]), (-b[0] * (q // qb), b[1]))
-    return lam * (1 - lam) + _fraction(2 * W.numerator**2 * n, q * W.denominator**2, e)
+    qe, t = node._moments_of(1)
+    parts = [((1, {0: (1, 0)}), lam * (1 - lam))]
+    for j in range(M):
+        u = (-1) ** j * math.comb(M - 1, j) * 2 * W**2
+        (qa, a), (qb, b) = node._moments_of(j + 1), node._moments_of(j + 2)
+        parts += [((qe * qa, {0: _mul(t[1], a[1])}), u), ((qb, {0: b[2]}), -u)]
+    q, total = _weighted_sum(parts)
+    return _fraction(*total[0], q)
 
 
 def well_distributedness_mfold(node: SymbolicGadget, M: int) -> Fraction:

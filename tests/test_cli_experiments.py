@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,8 @@ from lzlab.experiments import (
     run_robustness,
     run_universality,
 )
+from lzlab.lz import LZ78Coder
+from lzlab.sources import flip_chain, robustness_experiment
 
 # the ratio-curve file of test_ratio_curve_csv_schema, byte for byte
 RATIO_CURVE_CSV_SHA256 = "5657af3e7e3ae23b99b80ddff04a0aef8fce0e9cd282c9b893a3f40b89e20f03"
@@ -161,7 +164,6 @@ def test_gadget_rejects_stages_without_a_fold_count():
     # a negative stage is no stage at all: each is a one-line error
     for argv in (
         ["wd", "--stage", "0"],
-        ["wd", "--stage", "1", "--against", "0"],
         ["wd", "--stage", "-1"],
         ["stats", "--stage", "-1"],
     ):
@@ -209,9 +211,10 @@ def test_coder_flags_taken_as_given(tmp_path, capsys, flags, name):
     src = tmp_path / "w.bits"
     write_bits_file(str(src), "0110" * 64)
     argv = ["encode", *flags, "--in", str(src), "--out", str(tmp_path / "w.code")]
-    if name is ValueError:
-        with pytest.raises(ValueError):
+    if name is ValueError:  # the coder rejects the flag, and main exits with its message
+        with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     else:
         main(argv)
         assert capsys.readouterr().out.startswith(f"{name}: 256 symbols -> ")
@@ -292,6 +295,41 @@ def test_theorem1_rejects_negative_stages(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_rejected_input_is_a_one_line_error(tmp_path, capsys):
+    # malformed codewords, invalid parameters and missing files end in the
+    # exception's message as the exit message, not a traceback, and write
+    # no output
+    seven = tmp_path / "seven.bits"
+    write_bits_file(str(seven), "0110101")
+    out = str(tmp_path / "o.bits")
+    cases = [
+        (["decode", "--coder", coder, "--in", str(seven), "--out", out], message)
+        for coder, message in (
+            ("lz78", "input exhausted inside delimited word"),
+            ("lzwin", "input exhausted inside delimited word"),
+            ("block", "inner block decoded to wrong length"),
+            ("mixture", "input exhausted inside delimited word"),
+        )
+    ]
+    cases += [
+        (["theorem1", "build", "--r", "1/128", "--h0", "4", "--stages", "1"],
+         "entropy bound -3 r log2 r exceeds epsilon"),
+        (["theorem1", "build", "--h0", "0", "--stages", "1"], "h0 must be >= 1"),
+        (["theorem1", "build", "--folds", "2,x", "--stages", "1"],
+         "invalid literal for int() with base 10: 'x'"),
+        (["source", "entropy", "--source", "bernoulli:3/2"], "transition probabilities must lie in [0, 1]"),
+        (["theorem1", "sample", "--h0", "16", "--folds", "4,4,4", "--len", "0", "--out", out], "--len 0 is below 1"),
+        (["theorem1", "sample", "--h0", "16", "--folds", "4,4,4", "--len", "-5", "--out", out], "--len -5 is below 1"),
+        (["encode", "--coder", "lz78", "--in", str(tmp_path / "missing.bits"), "--out", out],
+         f"[Errno 2] No such file or directory: {str(tmp_path / 'missing.bits')!r}"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message, argv
+    assert capsys.readouterr().out == "" and not os.path.exists(out)
+
+
 def test_deficiency_cli(tmp_path, capsys):
     src = tmp_path / "w.bits"
     out = tmp_path / "d.csv"
@@ -327,6 +365,19 @@ def test_source_cli(tmp_path, capsys):
     word = read_bits_file(str(out))
     assert len(word) == 2000
     assert 0.15 < word.count("1") / 2000 < 0.35
+
+
+def test_source_robustness_cli_prints_the_experiment(capsys):
+    main(["source", "robustness", "--source", "flip:1/10", "--seed", "3", "--len", "2048",
+          "--blocks", "64,256"])
+    lines = capsys.readouterr().out.splitlines()
+    rep = robustness_experiment(flip_chain(Fraction(1, 10)), LZ78Coder(), 2048, [64, 256], seed=3)
+    assert lines == [
+        f"flip(1/10): H = {rep.entropy:.6f}",
+        f"full-sequence final ratio: {float(rep.final_ratio):.6f}",
+        f"block N=64: final ratio {float(rep.block_final[64]):.6f}",
+        f"block N=256: final ratio {float(rep.block_final[256]):.6f}",
+    ]
 
 
 def test_experiment_configs_roundtrip_and_determinism(tmp_path):
