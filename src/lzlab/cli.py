@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -115,6 +116,8 @@ def cmd_ratio_curve(args):
 
 
 def cmd_mixture(args):
+    if args.stride < 0:
+        raise SystemExit(f"--stride {args.stride} is negative")
     word = read_bits_file(args.infile)
     coder = MixtureCoder(args.kmax)
     stride = args.stride or max(1, len(word) // 32)
@@ -217,6 +220,8 @@ def cmd_deficiency(args):
 
 
 def cmd_source(args):
+    if args.action != "entropy" and args.len < 1:
+        raise SystemExit(f"--len {args.len} is below 1")
     source = _make_source(args.source)
     if args.action == "entropy":
         print(f"{source.name}: H = {source.entropy_rate():.6f} bits/symbol")
@@ -253,7 +258,10 @@ def _add_construction_flags(p):
     p.add_argument("--sigma", default=None, help="'id' or a JSON table file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: no argument has a mutable
+    default and every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="lzlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

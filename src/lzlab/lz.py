@@ -9,9 +9,10 @@ Two variants are implemented:
 * ``LZWindowCoder`` -- greedy longest match against all previous symbols, or
   against the previous ``window`` symbols; the source start must lie in the
   window but the copy may overlap the current position.  Smallest offset
-  wins among longest matches.  The unbounded coder walks a suffix automaton
-  for the match length; both find the nearest source by forward search on
-  the reversed input.
+  wins among longest matches.  The unbounded coder is the windowed
+  procedure with the window at the input's start: each phrase searches
+  forward in the reversed input for ever longer nearest sources, a pattern
+  of 8 or more symbols among its 8-bit windows.
 
 Every codeword is self-delimiting, so concatenated codewords decode
 unambiguously (the separating property).  Each coder's ``prefix_bits``
@@ -35,7 +36,6 @@ from .bitio import (
     self_delimit,
     self_delimited_len,
 )
-from .suffixauto import SuffixAutomaton
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,32 @@ class LZ78Coder:
         return [at[n] for n in positions]
 
 
-def _nearest_source(rev: str, i: int, L: int, lo: int, hi: int) -> int:
+def _window_grams(rev: str) -> bytes:
+    """Byte j of len(rev) - 7 is the 8-symbol window rev[j:j+8] read in
+    binary.  The windows starting at k, k + 8, k + 16, ... tile rev[k:], so
+    each residue k mod 8 takes one ``int(..., 2).to_bytes`` call."""
+    m = max(0, len(rev) - 7)
+    grams = bytearray(m)
+    for k in range(min(8, m)):
+        c = (m - k + 7) // 8
+        grams[k::8] = int(rev[k : k + 8 * c], 2).to_bytes(c, "big")
+    return bytes(grams)
+
+
+def _nearest_source(rev: str, grams: bytes, i: int, L: int, lo: int, hi: int) -> int:
     """Largest p in [lo, hi], hi < i, with x[p:p+L] == x[i:i+L], or -1.
 
     ``rev`` is x reversed, where that source is the *first* occurrence of
-    the reversed pattern at or after n - hi - L: CPython's forward search
-    falls back to the two-way algorithm, its reverse search has none.
+    the reversed pattern at or after n - hi - L.  A pattern of L >= 8
+    symbols occurs exactly where its L - 7 windows do, so it is searched in
+    ``grams`` (see ``_window_grams``), whose 256 letters let the search
+    skip ahead.
     """
     n = len(rev)
-    q = rev.find(rev[n - i - L : n - i], n - hi - L, n - lo)
+    if L < 8:
+        q = rev.find(rev[n - i - L : n - i], n - hi - L, n - lo)
+    else:
+        q = grams.find(grams[n - i - L : n - i - 7], n - hi - L, n - lo - 7)
     return -1 if q < 0 else n - L - q
 
 
@@ -182,7 +199,7 @@ def _extend_match(x: str, p: int, i: int, k: int, limit: int) -> int:
     return k
 
 
-def _window_match(x: str, rev: str, i: int, lo: int) -> tuple[int, int]:
+def _window_match(x: str, rev: str, grams: bytes, i: int, lo: int) -> tuple[int, int]:
     """(L, source) of the longest match of x[i:] with source start in
     [lo, i), smallest offset on ties; (0, -1) if there is none.
 
@@ -192,7 +209,7 @@ def _window_match(x: str, rev: str, i: int, lo: int) -> tuple[int, int]:
     limit = len(x) - i
     L, src, hi = 0, -1, i - 1
     while L < limit:
-        p = _nearest_source(rev, i, L + 1, lo, hi)
+        p = _nearest_source(rev, grams, i, L + 1, lo, hi)
         if p < 0:
             break
         L, src, hi = _extend_match(x, p, i, L + 1, limit), p, p - 1
@@ -208,19 +225,19 @@ class LZWindowCoder:
         self.window = window
         self.name = "lzwin" if window is None else f"lzwin{window}"
 
+    def _lo(self, i: int) -> int:
+        """Smallest source start the phrase at i may copy from."""
+        return 0 if self.window is None else max(0, i - self.window)
+
     def _parse(self, x: str) -> list[tuple[int, int, int, bool]]:
         """List of (start, match_len, source, has_symbol)."""
         n = len(x)
         rev = x[::-1]
-        sam = SuffixAutomaton(x) if self.window is None else None
+        grams = _window_grams(rev)
         phrases = []
         i = 0
         while i < n:
-            if sam is None:
-                L, src = _window_match(x, rev, i, max(0, i - self.window))
-            else:
-                L = sam.longest_match_before(x, i, n - i)
-                src = _nearest_source(rev, i, L, 0, i - 1) if L else -1
+            L, src = _window_match(x, rev, grams, i, self._lo(i))
             has_sym = i + L < n
             phrases.append((i, L, src, has_sym))
             i += L + (1 if has_sym else 0)
@@ -260,8 +277,12 @@ class LZWindowCoder:
                 srcpos = len(out) - offset
                 if srcpos < 0:
                     raise MalformedInput("window offset before stream start")
-                for t in range(L):
-                    out.append(out[srcpos + t])
+                if offset >= L:
+                    out.extend(out[srcpos : srcpos + L])
+                else:  # the copy overlaps itself: repeat its period
+                    period = out[srcpos:]
+                    out.extend(period * (L // offset))
+                    out.extend(period[: L % offset])
             if p < n:
                 out.append(payload[p])
                 p += 1
@@ -272,6 +293,7 @@ class LZWindowCoder:
         search per checkpoint that truncates a phrase."""
         phrases = self._parse(x)
         rev = x[::-1]
+        grams = _window_grams(rev)
         # cumulative payload bits after each phrase
         cum = [0]
         for i, L, src, has_sym in phrases:
@@ -279,7 +301,7 @@ class LZWindowCoder:
         starts = [ph[0] for ph in phrases]
         results = []
         for n in positions:
-            if n == 0:
+            if n == 0 or not phrases:
                 pl = 0
             else:
                 j = bisect.bisect_right(starts, n - 1) - 1
@@ -291,8 +313,7 @@ class LZWindowCoder:
                 else:
                     Lp = n - i
                     if Lp > 0:
-                        lo = 0 if self.window is None else max(0, i - self.window)
-                        srcp = _nearest_source(rev, i, Lp, lo, i - 1)
+                        srcp = _nearest_source(rev, grams, i, Lp, self._lo(i), i - 1)
                         pl += len(self._triple_bits(i, Lp, srcp, None))
             results.append(self_delimited_len(pl))
         return results

@@ -1,4 +1,6 @@
-"""Suffix automaton over a binary word, used for exact longest-match parsing.
+"""Suffix automaton over a binary word, for exact longest-match queries.
+
+No coder uses it: window-LZ finds its matches by source search (``lz.py``).
 
 Built once over the whole input in a single loop over local 32-bit arrays.
 Only what matching reads is kept: the transitions ``t0``/``t1`` and

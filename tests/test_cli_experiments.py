@@ -320,6 +320,9 @@ def test_rejected_input_is_a_one_line_error(tmp_path, capsys):
         (["source", "entropy", "--source", "bernoulli:3/2"], "transition probabilities must lie in [0, 1]"),
         (["theorem1", "sample", "--h0", "16", "--folds", "4,4,4", "--len", "0", "--out", out], "--len 0 is below 1"),
         (["theorem1", "sample", "--h0", "16", "--folds", "4,4,4", "--len", "-5", "--out", out], "--len -5 is below 1"),
+        (["source", "sample", "--source", "flip:1/10", "--len", "-5", "--out", out], "--len -5 is below 1"),
+        (["source", "robustness", "--source", "flip:1/10", "--len", "0"], "--len 0 is below 1"),
+        (["mixture", "--in", str(seven), "--stride", "-3", "--csv", out], "--stride -3 is negative"),
         (["encode", "--coder", "lz78", "--in", str(tmp_path / "missing.bits"), "--out", out],
          f"[Errno 2] No such file or directory: {str(tmp_path / 'missing.bits')!r}"),
     ]

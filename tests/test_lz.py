@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder, alpha_prefix
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
@@ -16,6 +18,7 @@ from lzlab.lz import (
     lz78_parse,
     ratio_curve,
 )
+from lzlab.lz import _nearest_source, _window_grams
 from lzlab.sources import bernoulli, flip_chain
 from lzlab.suffixauto import SuffixAutomaton
 
@@ -226,6 +229,56 @@ def test_lzwin_matches_reference_coder(differential_words, window):
         assert coder.prefix_bits(x, every) == ref.prefix_bits(x, every), name
 
 
+# fair-coin, periodic and sparse words: periodic and sparse ones hold long
+# matches with many candidate sources
+binary_words = st.one_of(
+    st.text("01", max_size=120),
+    st.builds(lambda period, n: (period * n)[:n], st.text("01", min_size=1, max_size=9), st.integers(0, 160)),
+    st.builds(
+        lambda n, ones: "".join("1" if k in ones else "0" for k in range(n)),
+        st.integers(0, 160),
+        st.sets(st.integers(0, 159), max_size=6),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(binary_words, st.data())
+def test_nearest_source_matches_reversed_string_search(x, data):
+    # patterns of 8 or more symbols are searched among 8-bit windows; the
+    # plain search on the reversed string must find the same source
+    n = len(x)
+    if n < 2:
+        return
+    i = data.draw(st.integers(1, n - 1))
+    lengths = st.integers(1, n - i)
+    if n - i >= 7:
+        lengths = st.sampled_from([L for L in (7, 8, 9) if L <= n - i]) | lengths
+    L = data.draw(lengths)
+    lo = data.draw(st.integers(0, i - 1))
+    hi = data.draw(st.integers(lo, i - 1))
+    rev = x[::-1]
+    q = rev.find(rev[n - i - L : n - i], n - hi - L, n - lo)
+    assert _nearest_source(rev, _window_grams(rev), i, L, lo, hi) == (-1 if q < 0 else n - L - q)
+
+
+@settings(max_examples=150)
+@given(binary_words, st.sampled_from([None, 1, 7, 8, 9, 4096]))
+def test_lzwin_parse_matches_reference_on_drawn_words(x, window):
+    coder, ref = LZWindowCoder(window), ReferenceLZWindowCoder(window)
+    assert coder._parse(x) == ref._parse(x)
+    every = list(range(len(x) + 1))
+    assert coder.prefix_bits(x, every) == ref.prefix_bits(x, every)
+    assert coder.decode(coder.encode(x)) == (x, len(coder.encode(x)))
+
+
+def test_window_grams_are_the_8_bit_windows():
+    rng = random.Random(41)
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 100):
+        w = "".join(rng.choice("01") for _ in range(n))
+        assert _window_grams(w) == bytes(int(w[j : j + 8], 2) for j in range(n - 7))
+
+
 def test_suffix_automaton_matches_reference():
     rng = random.Random(29)
     for _ in range(40):
@@ -272,6 +325,15 @@ def test_lzwin_decode_rejects_offset_beyond_window():
     assert LZWindowCoder(window=5).decode(stream)[0] == "01101011"
     with pytest.raises(MalformedInput, match="beyond the window"):
         LZWindowCoder(window=4).decode(stream)
+
+
+@pytest.mark.parametrize(
+    "coder", [LZ78Coder(), LZWindowCoder(), LZWindowCoder(window=8), BlockCoder(16), MixtureCoder(2)]
+)
+def test_prefix_bits_of_empty_input(coder):
+    # every checkpoint of the empty word, even one past its end, costs the
+    # empty word's codeword
+    assert coder.prefix_bits("", [0, 1, 5]) == [len(coder.encode(""))] * 3
 
 
 def test_block_structure_exact():
