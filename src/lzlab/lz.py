@@ -171,10 +171,11 @@ def _nearest_source(rev: str, grams: bytes, i: int, L: int, lo: int, hi: int) ->
     """Largest p in [lo, hi], hi < i, with x[p:p+L] == x[i:i+L], or -1.
 
     ``rev`` is x reversed, where that source is the *first* occurrence of
-    the reversed pattern at or after n - hi - L.  A pattern of L >= 8
-    symbols occurs exactly where its L - 7 windows do, so it is searched in
-    ``grams`` (see ``_window_grams``), whose 256 letters let the search
-    skip ahead.
+    the reversed pattern at or after n - hi - L: CPython's forward search
+    falls back to the two-way algorithm, its reverse search has none.
+    A pattern of L >= 8 symbols occurs exactly where its L - 7 windows do,
+    so it is searched in ``grams`` (see ``_window_grams``), whose 256
+    letters let the search skip ahead.
     """
     n = len(rev)
     if L < 8:

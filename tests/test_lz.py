@@ -269,7 +269,8 @@ def test_lzwin_parse_matches_reference_on_drawn_words(x, window):
     assert coder._parse(x) == ref._parse(x)
     every = list(range(len(x) + 1))
     assert coder.prefix_bits(x, every) == ref.prefix_bits(x, every)
-    assert coder.decode(coder.encode(x)) == (x, len(coder.encode(x)))
+    code = coder.encode(x)
+    assert coder.decode(code) == (x, len(code))
 
 
 def test_window_grams_are_the_8_bit_windows():
