@@ -49,19 +49,6 @@ def log2_fraction(fr: Fraction) -> float:
     return shift + math.log2(num / den)
 
 
-def neg_log2_ceil(fr: Fraction) -> int:
-    """Exact ceil(-log2(fr)) for a Fraction in (0, 1]."""
-    if fr <= 0:
-        raise ValueError("value must be positive")
-    num, den = fr.numerator, fr.denominator
-    # smallest L with fr >= 2^-L, i.e. num * 2^L >= den
-    low = max(0, den.bit_length() - num.bit_length() - 1)
-    L = low
-    while (num << L) < den:
-        L += 1
-    return L
-
-
 def binary_entropy(p: Fraction) -> float:
     """h(p) in bits."""
     p = float(p)

@@ -8,8 +8,6 @@ with the Elias delta code, whose length is exactly
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class MalformedInput(ValueError):
     """Raised when a bit stream cannot be decoded."""
@@ -81,13 +79,6 @@ def read_self_delimited(s: str, pos: int = 0) -> tuple[str, int]:
     if pos + used + ln > len(s):
         raise MalformedInput("input exhausted inside delimited word")
     return s[pos + used : pos + used + ln], used + ln
-
-
-def kraft_sum(lengths) -> Fraction:
-    total = Fraction(0)
-    for ln in lengths:
-        total += Fraction(1, 2**ln)
-    return total
 
 
 def pack_bits(bits: str) -> bytes:

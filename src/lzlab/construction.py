@@ -267,6 +267,10 @@ class Construction:
     def query(self, x: str, eps: Fraction) -> Fraction:
         """MeasureOracle interface: rational approximation of P(x) within eps.
 
+        This is the paper's computable-measure interface: P(x) to within any
+        requested eps, the measure that randomness deficiency is defined
+        against.  ``prob_estimate`` is only a relative-precision shortcut.
+
         Runs to the first stage whose gadget covers enough mass and is tall
         enough, then counts starts at least len(x) below the top; the error
         is at most the top-band mass len(x) * gadget width <= eps/2.

@@ -32,12 +32,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.right - self.left
 
-    def contains(self, other: "Interval") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.left < other.right and other.left < self.right
-
     def split(self, gamma) -> list["Interval"]:
         """Left-to-right split into parts proportional to gamma."""
         points = [self.left]

@@ -1,11 +1,11 @@
-"""Krichevsky-Trofimov estimators, the mixture forecasting measure, and the
+"""The Krichevsky-Trofimov mixture forecaster over orders 0..kmax, and the
 code built on it.
 
-Exact rational evaluation (``kt_prob``, ``MixtureMeasure``) is used wherever
-measure identities must hold exactly; the coder itself runs a deterministic
-integer-quantized version of the same predictor so megabit inputs are
-feasible.  The quantized code stays within the 2-bit contract of the ideal
-length on test scales (quantization adds less than n * 2**-24 bits).
+The coder runs a deterministic integer-quantized predictor so megabit inputs
+are feasible.  Its exact rational twin lives with the tests, in
+``tests/family.py``: they check measure identities against it, and that the
+code stays within the 2-bit contract of its ideal length (quantization adds
+less than n * 2**-24 bits at test scales).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import arith
 from .arith import PROB_BITS
-from ._util import log2_fraction, neg_log2_ceil
 from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit, self_delimited_len
 
 DEFAULT_KMAX = 8
@@ -31,65 +30,9 @@ def mixture_weights(kmax: int) -> list[Fraction]:
     return [w / total for w in raw]
 
 
-def kt_prob(x: str, k: int) -> Fraction:
-    """Exact KT probability of x under the order-k sequential estimator.
-
-    The first k symbols are predicted with probability 1/2 each; afterwards
-    the add-half rule (count + 1/2)/(total + 1) applies per context.
-    """
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    num = 1
-    den = 1
-    counts: dict[int, list[int]] = {}
-    ctx = 0
-    mask = (1 << k) - 1
-    for t, ch in enumerate(x):
-        b = 1 if ch == "1" else 0
-        if t < k:
-            den <<= 1
-        else:
-            c = counts.get(ctx)
-            if c is None:
-                c = [0, 0]
-                counts[ctx] = c
-            num *= 2 * c[b] + 1
-            den *= 2 * (c[0] + c[1]) + 2
-            c[b] += 1
-        ctx = ((ctx << 1) | b) & mask
-    return Fraction(num, den)
-
-
-class MixtureMeasure:
-    """Weighted mixture of KT estimators over orders 0..kmax (exact)."""
-
-    def __init__(self, kmax: int = DEFAULT_KMAX):
-        if kmax < 0:
-            raise ValueError("kmax must be >= 0")
-        self.kmax = kmax
-        self.weights = mixture_weights(kmax)
-        self.name = f"mixture(kmax={kmax})"
-
-    def prob(self, x: str) -> Fraction:
-        return sum((w * kt_prob(x, k) for k, w in enumerate(self.weights)), Fraction(0))
-
-    def pred(self, x: str, sym: str) -> Fraction:
-        """Conditional probability of the next symbol."""
-        if sym not in ("0", "1"):
-            raise ValueError("symbol must be '0' or '1'")
-        return self.prob(x + sym) / self.prob(x)
-
-    def query(self, x: str, eps: Fraction = Fraction(0)) -> Fraction:
-        """MeasureOracle interface; the value is exact, eps is ignored."""
-        return self.prob(x)
-
-    def ideal_code_len(self, x: str) -> int:
-        """ceil(-log2 rho(x)) + 1."""
-        return neg_log2_ceil(self.prob(x)) + 1
-
-
 class QuantizedMixturePredictor:
-    """Integer twin of MixtureMeasure used by the coder.
+    """Integer twin, used by the coder, of the exact KT mixture; the exact
+    mixture is a test oracle in ``tests/family.py``.
 
     Weights live in WEIGHT_BITS-bit registers, probabilities are emitted at
     PROB_BITS precision; every operation is integer, so encoder and
@@ -240,20 +183,3 @@ class MixtureCoder:
     def payload_code_len(self, x: str) -> int:
         """Arithmetic-code bits alone, without the framing fields."""
         return self._code(x)[0].finish_length()
-
-
-def forecast_error(x: str, mu, rho: MixtureMeasure | None = None) -> float:
-    """Per-symbol average log-ratio (1/t) log2(mu(x)/rho(x)).
-
-    ``mu`` is any MeasureOracle with exact .query; zero-probability prefixes
-    under mu are rejected.
-    """
-    if not x:
-        return 0.0
-    rho = rho if rho is not None else MixtureMeasure()
-    t = len(x)
-    mu_x = mu.query(x, Fraction(0))
-    if mu_x <= 0:
-        raise ValueError("mu assigns zero probability to the word")
-    rho_x = rho.prob(x)
-    return (log2_fraction(mu_x) - log2_fraction(rho_x)) / t

@@ -23,7 +23,6 @@ that ``encode`` emits, without encoding the prefixes.
 from __future__ import annotations
 
 import bisect
-import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -230,11 +229,16 @@ class LZWindowCoder:
         """Smallest source start the phrase at i may copy from."""
         return 0 if self.window is None else max(0, i - self.window)
 
-    def _parse(self, x: str) -> list[tuple[int, int, int, bool]]:
-        """List of (start, match_len, source, has_symbol)."""
+    def _parse(
+        self, x: str, rev: str | None = None, grams: bytes | None = None
+    ) -> list[tuple[int, int, int, bool]]:
+        """List of (start, match_len, source, has_symbol).  ``rev`` and
+        ``grams`` are x reversed and its 8-bit windows (``_window_grams``),
+        built here unless the caller already has them."""
         n = len(x)
-        rev = x[::-1]
-        grams = _window_grams(rev)
+        if rev is None:
+            rev = x[::-1]
+            grams = _window_grams(rev)
         phrases = []
         i = 0
         while i < n:
@@ -292,9 +296,9 @@ class LZWindowCoder:
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
         """Exact codeword length of every prefix; one parse plus one source
         search per checkpoint that truncates a phrase."""
-        phrases = self._parse(x)
         rev = x[::-1]
         grams = _window_grams(rev)
+        phrases = self._parse(x, rev, grams)
         # cumulative payload bits after each phrase
         cum = [0]
         for i, L, src, has_sym in phrases:
@@ -378,9 +382,6 @@ class RatioCurve:
     coder: str
     points: list[tuple[int, int, Fraction]] = field(default_factory=list)
 
-    def ratios(self) -> list[Fraction]:
-        return [r for _, _, r in self.points]
-
 
 def compression_ratio(coder, x: str) -> Fraction:
     """Codeword bits over input symbols (log2 alphabet = 1 for binary)."""
@@ -400,43 +401,3 @@ def ratio_curve(coder, x: str, stride: int) -> RatioCurve:
     lens = coder.prefix_bits(x, ns)
     curve.points = [(n, ln, Fraction(ln, n)) for n, ln in zip(ns, lens)]
     return curve
-
-
-@dataclass
-class DecodabilityReport:
-    coder: str
-    pairs_checked: int
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def decodability_check(coder, pairs: int = 1000, seed: int = 0, max_len: int = 64) -> DecodabilityReport:
-    """Separating property: encode(x)++encode(y) must decode to x then y."""
-    rng = random.Random(seed)
-    report = DecodabilityReport(coder=getattr(coder, "name", "coder"), pairs_checked=0)
-
-    def check(x: str, y: str) -> None:
-        report.pairs_checked += 1
-        stream = coder.encode(x) + coder.encode(y) + "1011"
-        try:
-            got_x, used_x = coder.decode(stream)
-            got_y, used_y = coder.decode(stream, used_x)
-        except MalformedInput as exc:
-            report.failures.append((x, y, f"decode error: {exc}"))
-            return
-        if got_x != x or got_y != y:
-            report.failures.append((x, y, "mismatch"))
-
-    for _ in range(pairs):
-        nx = rng.randrange(0, max_len + 1)
-        ny = rng.randrange(0, max_len + 1)
-        x = "".join(rng.choice("01") for _ in range(nx))
-        y = "".join(rng.choice("01") for _ in range(ny))
-        check(x, y)
-    word = "".join(rng.choice("01") for _ in range(max_len))
-    check(word, word[: max_len // 2])
-    check("", word)
-    return report

@@ -17,6 +17,7 @@ from lzlab.intervals import (
     Column,
     Gadget,
     GadgetError,
+    Interval,
     count_occurrences,
 )
 from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
@@ -25,6 +26,14 @@ from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
 class UnrelatedGadgets(GadgetError):
     """Raised when an intersection query is asked of gadgets that were not
     produced from one another by cutting and stacking."""
+
+
+def contains(outer: Interval, inner: Interval) -> bool:
+    return outer.left <= inner.left and inner.right <= outer.right
+
+
+def overlaps(a: Interval, b: Interval) -> bool:
+    return a.left < b.right and b.left < a.right
 
 
 def distribution(g: Gadget) -> list[Fraction]:
@@ -57,7 +66,7 @@ def stack_columns(lower: Column, upper: Column) -> Column:
     """Stack one column onto another: heights add, names concatenate."""
     if lower.width != upper.width:
         raise GadgetError("stacked columns must share width")
-    if any(a.overlaps(b) for a in lower.levels for b in upper.levels):
+    if any(overlaps(a, b) for a in lower.levels for b in upper.levels):
         raise GadgetError("stacked columns must have disjoint supports")
     return Column(lower.levels + upper.levels, lower.name + upper.name)
 
@@ -143,10 +152,10 @@ def intersection_measure(upper_col: Column, lower_col: Column) -> Fraction:
     for lv in upper_col.levels:
         inside = False
         for dlv in lower_col.levels:
-            if dlv.contains(lv):
+            if contains(dlv, lv):
                 inside = True
                 break
-            if dlv.overlaps(lv):
+            if overlaps(dlv, lv):
                 raise UnrelatedGadgets("upper level straddles a lower level")
         if inside:
             total += lv.width

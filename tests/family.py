@@ -3,21 +3,28 @@ selection-procedure suites, a seeded alpha trace prefix, a verbatim
 test-double coder, and reference versions of the mixture predictor, the
 name-measure DP, the well-distributedness moments, column sampling,
 ``transformation_extends`` (the sweep version is in explicit.py), the suffix
-automaton and the window-LZ coder."""
+automaton and the window-LZ coder.
+
+It also holds the oracles that only the tests run: supermartingales and the
+bounded-increase selection procedure (acceptance criterion 3), the exact KT
+mixture that ``QuantizedMixturePredictor`` quantizes, the separating-property
+check over concatenated codewords, and the Kraft sum."""
 
 import bisect
 import math
+import random
 from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from explicit import _column_maps
+from lzlab._util import log2_fraction
 from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput, self_delimited_len
 from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
 from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.intervals import Column, Gadget, Interval
-from lzlab.deficiency import Supermartingale, selection_threshold
-from lzlab.ktmix import WEIGHT_BITS, mixture_weights
+from lzlab.ktmix import DEFAULT_KMAX, WEIGHT_BITS, mixture_weights
 from lzlab.lz import LZWindowCoder
 from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
 
@@ -74,6 +81,119 @@ def random_measure(rng, depth):
     return DictMeasure(table)
 
 
+class Supermartingale:
+    """Nonnegative function with M(x) >= M(x0) P(0|x) + M(x1) P(1|x)."""
+
+    def __init__(self, evaluator, measure):
+        self.evaluator = evaluator
+        self.measure = measure
+
+    def value(self, x: str) -> Fraction:
+        return self.evaluator(x)
+
+    def check_inequality(self, x: str) -> bool:
+        p_x = self.measure.query(x, F(0))
+        if p_x == 0:
+            return True
+        m = self.value(x)
+        total = F(0)
+        for b in "01":
+            p_b = self.measure.query(x + b, F(0))
+            if p_b:
+                total += self.value(x + b) * p_b
+        return m * p_x >= total
+
+
+class CodeMartingale(Supermartingale):
+    """M(x) = Q(x)/P(x) with Q the code's weight mass over a finite horizon.
+
+    Q(x) sums 2^-l(code(y)) over coded words y comparable beyond x (x <= y)
+    up to the horizon depth; the code must be prefix-free, which is checked
+    on the enumerated codebook.
+    """
+
+    def __init__(self, coder, measure, horizon: int):
+        self.coder = coder
+        self.horizon = horizon
+        self.q: dict[str, Fraction] = {}
+        words_by_depth = [[""]]
+        for _ in range(horizon):
+            words_by_depth.append([w + b for w in words_by_depth[-1] for b in "01"])
+        codes = []
+        weights: dict[str, Fraction] = {}
+        for layer in words_by_depth:
+            for w in layer:
+                cw = coder.encode(w)
+                codes.append(cw)
+                weights[w] = F(1, 2 ** len(cw))
+        codes.sort()
+        for a, b in zip(codes, codes[1:]):
+            if b.startswith(a):
+                raise ValueError("code is not prefix-free on the horizon")
+        for layer in reversed(words_by_depth):
+            for w in layer:
+                q = weights[w]
+                if len(w) < horizon:
+                    q = q + self.q[w + "0"] + self.q[w + "1"]
+                self.q[w] = q
+
+        def evaluator(x: str) -> Fraction:
+            if len(x) > horizon:
+                raise ValueError("beyond the martingale horizon")
+            p = measure.query(x, F(0))
+            if p == 0:
+                return F(0)
+            return self.q[x] / p
+
+        super().__init__(evaluator, measure)
+
+
+def cylinder_mass(measure, words) -> Fraction:
+    """P of the union of cylinders: sum over prefix-minimal elements."""
+    minimal: list[str] = []
+    for w in sorted(set(words), key=len):
+        if not any(w.startswith(z) for z in minimal):
+            minimal.append(w)
+    return sum((measure.query(w, F(0)) for w in minimal), F(0))
+
+
+def selection_threshold(x: str, measure, martingale, A, mu: Fraction) -> Fraction:
+    """M(x) P(x) / ((1-mu) P(A~)): the largest martingale value a selected
+    prefix may take."""
+    p_x = measure.query(x, F(0))
+    return martingale.value(x) * p_x / ((1 - F(mu)) * cylinder_mass(measure, A))
+
+
+def select_subset(A, x: str, measure, martingale: Supermartingale, mu: Fraction):
+    """Bounded-increase selection.
+
+    Removes every extension with an intermediate martingale value above
+    M(x) / ((1-mu) P(A~|x)); the surviving set keeps mass > mu P(A~) and all
+    its prefixes obey the log-threshold.
+    """
+    mu = F(mu)
+    if not 0 < mu < 1:
+        raise ValueError("mu must lie in (0, 1)")
+    A = list(A)
+    if any(not y.startswith(x) for y in A):
+        raise ValueError("every candidate must extend x")
+    if measure.query(x, F(0)) == 0:
+        raise ValueError("P(x) must be positive")
+    if cylinder_mass(measure, A) == 0:
+        raise ValueError("P(A~) must be positive")
+    threshold = selection_threshold(x, measure, martingale, A, mu)
+    removed_roots = []
+    for y in A:
+        for j in range(len(x), len(y) + 1):
+            if martingale.value(y[:j]) > threshold:
+                removed_roots.append(y)
+                break
+    survivors = [
+        y for y in A if not any(y.startswith(z) for z in removed_roots)
+    ]
+    return survivors
+
+
 def random_supermartingale(rng, measure, depth):
     values = {"": F(rng.randrange(1, 9), 8)}
     frontier = [""]
@@ -119,6 +239,141 @@ class VerbatimCoder:
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
         return [64 + min(n, len(x)) for n in positions]
+
+
+def kt_prob(x: str, k: int) -> Fraction:
+    """Exact KT probability of x under the order-k sequential estimator.
+
+    The first k symbols are predicted with probability 1/2 each; afterwards
+    the add-half rule (count + 1/2)/(total + 1) applies per context.
+    """
+    if k < 0:
+        raise ValueError("order must be >= 0")
+    num = 1
+    den = 1
+    counts: dict[int, list[int]] = {}
+    ctx = 0
+    mask = (1 << k) - 1
+    for t, ch in enumerate(x):
+        b = 1 if ch == "1" else 0
+        if t < k:
+            den <<= 1
+        else:
+            c = counts.get(ctx)
+            if c is None:
+                c = [0, 0]
+                counts[ctx] = c
+            num *= 2 * c[b] + 1
+            den *= 2 * (c[0] + c[1]) + 2
+            c[b] += 1
+        ctx = ((ctx << 1) | b) & mask
+    return Fraction(num, den)
+
+
+def neg_log2_ceil(fr: Fraction) -> int:
+    """Exact ceil(-log2(fr)) for a Fraction in (0, 1]."""
+    if fr <= 0:
+        raise ValueError("value must be positive")
+    num, den = fr.numerator, fr.denominator
+    # smallest L with fr >= 2^-L, i.e. num * 2^L >= den
+    low = max(0, den.bit_length() - num.bit_length() - 1)
+    L = low
+    while (num << L) < den:
+        L += 1
+    return L
+
+
+class MixtureMeasure:
+    """Weighted mixture of KT estimators over orders 0..kmax (exact): the
+    measure that ``QuantizedMixturePredictor`` quantizes."""
+
+    def __init__(self, kmax: int = DEFAULT_KMAX):
+        if kmax < 0:
+            raise ValueError("kmax must be >= 0")
+        self.kmax = kmax
+        self.weights = mixture_weights(kmax)
+        self.name = f"mixture(kmax={kmax})"
+
+    def prob(self, x: str) -> Fraction:
+        return sum((w * kt_prob(x, k) for k, w in enumerate(self.weights)), Fraction(0))
+
+    def pred(self, x: str, sym: str) -> Fraction:
+        """Conditional probability of the next symbol."""
+        if sym not in ("0", "1"):
+            raise ValueError("symbol must be '0' or '1'")
+        return self.prob(x + sym) / self.prob(x)
+
+    def query(self, x: str, eps: Fraction = Fraction(0)) -> Fraction:
+        """MeasureOracle interface; the value is exact, eps is ignored."""
+        return self.prob(x)
+
+    def ideal_code_len(self, x: str) -> int:
+        """ceil(-log2 rho(x)) + 1."""
+        return neg_log2_ceil(self.prob(x)) + 1
+
+
+def forecast_error(x: str, mu, rho: MixtureMeasure | None = None) -> float:
+    """Per-symbol average log-ratio (1/t) log2(mu(x)/rho(x)).
+
+    ``mu`` is any MeasureOracle with exact .query; zero-probability prefixes
+    under mu are rejected.
+    """
+    if not x:
+        return 0.0
+    rho = rho if rho is not None else MixtureMeasure()
+    t = len(x)
+    mu_x = mu.query(x, Fraction(0))
+    if mu_x <= 0:
+        raise ValueError("mu assigns zero probability to the word")
+    rho_x = rho.prob(x)
+    return (log2_fraction(mu_x) - log2_fraction(rho_x)) / t
+
+
+@dataclass
+class DecodabilityReport:
+    coder: str
+    pairs_checked: int
+    failures: list[tuple[str, str, str]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def decodability_check(coder, pairs: int = 1000, seed: int = 0, max_len: int = 64) -> DecodabilityReport:
+    """Separating property: encode(x)++encode(y) must decode to x then y."""
+    rng = random.Random(seed)
+    report = DecodabilityReport(coder=getattr(coder, "name", "coder"), pairs_checked=0)
+
+    def check(x: str, y: str) -> None:
+        report.pairs_checked += 1
+        stream = coder.encode(x) + coder.encode(y) + "1011"
+        try:
+            got_x, used_x = coder.decode(stream)
+            got_y, used_y = coder.decode(stream, used_x)
+        except MalformedInput as exc:
+            report.failures.append((x, y, f"decode error: {exc}"))
+            return
+        if got_x != x or got_y != y:
+            report.failures.append((x, y, "mismatch"))
+
+    for _ in range(pairs):
+        nx = rng.randrange(0, max_len + 1)
+        ny = rng.randrange(0, max_len + 1)
+        x = "".join(rng.choice("01") for _ in range(nx))
+        y = "".join(rng.choice("01") for _ in range(ny))
+        check(x, y)
+    word = "".join(rng.choice("01") for _ in range(max_len))
+    check(word, word[: max_len // 2])
+    check("", word)
+    return report
+
+
+def kraft_sum(lengths) -> Fraction:
+    total = Fraction(0)
+    for ln in lengths:
+        total += Fraction(1, 2**ln)
+    return total
 
 
 class ReferenceMixturePredictor:

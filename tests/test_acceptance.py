@@ -21,12 +21,21 @@ from fractions import Fraction
 import pytest
 
 from explicit import mfold_explicit, name_measure_explicit, well_distributedness_explicit
-from family import VerbatimCoder, brute_force_selection, random_gadget, random_measure, random_supermartingale
-from lzlab.bitio import encode_int, kraft_sum
+from family import (
+    VerbatimCoder,
+    brute_force_selection,
+    cylinder_mass,
+    decodability_check,
+    kraft_sum,
+    random_gadget,
+    random_measure,
+    random_supermartingale,
+    select_subset,
+)
+from lzlab.bitio import encode_int
 from lzlab.construction import Construction, ConstructionParams
-from lzlab.deficiency import cylinder_mass, select_subset
 from lzlab.ktmix import MixtureCoder
-from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder, decodability_check
+from lzlab.lz import BlockCoder, LZ78Coder, LZWindowCoder
 from lzlab.experiments import run_deficiency, run_oscillation, run_robustness
 from lzlab.sources import flip_chain, robustness_experiment
 from lzlab.symbolic import base_node, mfold, name_measure, well_distributedness_mfold

@@ -8,12 +8,13 @@ from lzlab.bitio import (
     decode_int,
     encode_int,
     encode_int_len,
-    kraft_sum,
     pack_bits,
     read_self_delimited,
     self_delimit,
     unpack_bits,
 )
+
+from family import kraft_sum
 
 
 def test_encode_int_hand_values():

@@ -323,6 +323,10 @@ def test_rejected_input_is_a_one_line_error(tmp_path, capsys):
         (["source", "sample", "--source", "flip:1/10", "--len", "-5", "--out", out], "--len -5 is below 1"),
         (["source", "robustness", "--source", "flip:1/10", "--len", "0"], "--len 0 is below 1"),
         (["mixture", "--in", str(seven), "--stride", "-3", "--csv", out], "--stride -3 is negative"),
+        (["deficiency", "--measure", "bernoulli:1/2", "--in", str(seven), "--stride", "0", "--csv", out],
+         "stride must be >= 1"),
+        (["deficiency", "--measure", "bernoulli:1/2", "--in", str(seven), "--stride", "-5", "--csv", out],
+         "stride must be >= 1"),
         (["encode", "--coder", "lz78", "--in", str(tmp_path / "missing.bits"), "--out", out],
          f"[Errno 2] No such file or directory: {str(tmp_path / 'missing.bits')!r}"),
     ]

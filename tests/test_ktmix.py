@@ -6,15 +6,12 @@ import pytest
 from lzlab._util import binary_entropy
 from lzlab.ktmix import (
     MixtureCoder,
-    MixtureMeasure,
     QuantizedMixturePredictor,
-    forecast_error,
-    kt_prob,
     mixture_weights,
 )
 from lzlab.sources import bernoulli, flip_chain
 
-from family import ReferenceMixturePredictor
+from family import MixtureMeasure, ReferenceMixturePredictor, forecast_error, kt_prob
 from test_golden import LONG_ALPHA
 
 
@@ -153,7 +150,7 @@ def test_code_rate_bernoulli_02():
 
 
 def test_separating_property():
-    from lzlab.lz import decodability_check
+    from family import decodability_check
 
     report = decodability_check(MixtureCoder(kmax=2), pairs=300, seed=9)
     assert report.ok, report.failures[:3]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder, alpha_prefix
+from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder, alpha_prefix, decodability_check
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import (
@@ -14,7 +14,6 @@ from lzlab.lz import (
     LZ78Coder,
     LZWindowCoder,
     compression_ratio,
-    decodability_check,
     lz78_parse,
     ratio_curve,
 )
@@ -125,7 +124,7 @@ def test_lz78_all_zeros_ratio_2_16():
 
 def test_lz78_ratio_decreasing_on_zeros():
     curve = ratio_curve(LZ78Coder(), "0" * 4096, 512)
-    rs = curve.ratios()
+    rs = [r for _, _, r in curve.points]
     assert all(a > b for a, b in zip(rs, rs[1:]))
 
 
@@ -414,7 +413,15 @@ def test_prefix_bits_match_reencoding(coder):
 
 @pytest.mark.parametrize(
     "coder",
-    [LZ78Coder(), LZWindowCoder(), LZWindowCoder(window=64), BlockCoder(32)],
+    [
+        LZ78Coder(),
+        LZWindowCoder(),
+        LZWindowCoder(window=64),
+        BlockCoder(32),
+        BlockCoder(64, MixtureCoder(2)),
+        BlockCoder(16, LZWindowCoder()),
+        MixtureCoder(2),
+    ],
 )
 def test_separating_property(coder):
     report = decodability_check(coder, pairs=1000, seed=123)
