@@ -235,8 +235,14 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     }
     curves = {}
     coders = _coder_suite(cfg)
-    all_bits = parallel_map(_prefix_bits, [(coder, alpha, positions) for coder in coders])
-    for coder, bits in zip(coders, all_bits):
+    # the window-LZ and mixture passes take longest: hand them out first
+    long_first = sorted(coders, key=lambda coder: not isinstance(coder, (LZWindowCoder, MixtureCoder)))
+    bits_of = dict(zip(
+        (coder.name for coder in long_first),
+        parallel_map(_prefix_bits, [(coder, alpha, positions) for coder in long_first]),
+    ))
+    for coder in coders:
+        bits = bits_of[coder.name]
         at = dict(zip(positions, bits))
         curve_points = [
             (m, at[m], F(at[m], m)) for m in range(stride, n + 1, stride)
@@ -367,13 +373,15 @@ def _second_order_source() -> MarkovSource:
     )
 
 
-def _universality_rates(job) -> tuple[float, list[int]]:
-    """One source's mixture rate and LZ78 prefix bits, each on its own sample."""
-    source, seed, kmax, n_mix, n_lz, lz_positions = job
-    x = source.sample(stream_seed(seed, f"universality:{source.name}"), n_mix)
-    mix_rate = MixtureCoder(kmax).payload_code_len(x) / n_mix
-    xl = source.sample(stream_seed(seed, f"universality-lz:{source.name}"), n_lz)
-    return mix_rate, LZ78Coder().prefix_bits(xl, lz_positions)
+def _universality_sample(job):
+    """One coder's result on one source: the mixture's rate, or LZ78's prefix
+    bits, each on a sample from its own seed stream."""
+    source, seed, coder, n, lz_positions = job
+    if isinstance(coder, MixtureCoder):
+        x = source.sample(stream_seed(seed, f"universality:{source.name}"), n)
+        return coder.payload_code_len(x) / n
+    x = source.sample(stream_seed(seed, f"universality-lz:{source.name}"), n)
+    return coder.prefix_bits(x, lz_positions)
 
 
 def run_universality(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -390,8 +398,11 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     curves = {}
     lz_positions = sorted(set(range(stride, n_lz + 1, stride)) | {n_lz})
     sources = (bernoulli(F(1, 5)), flip_chain(F(1, 10)), _second_order_source())
-    jobs = [(source, seed, kmax, n_mix, n_lz, lz_positions) for source in sources]
-    for source, (mix_rate, lz_bits) in zip(sources, parallel_map(_universality_rates, jobs)):
+    # one job per (source, coder), the longer mixture jobs first
+    jobs = [(source, seed, MixtureCoder(kmax), n_mix, ()) for source in sources]
+    jobs += [(source, seed, LZ78Coder(), n_lz, lz_positions) for source in sources]
+    results = parallel_map(_universality_sample, jobs)
+    for source, mix_rate, lz_bits in zip(sources, results, results[len(sources):]):
         H = source.entropy_rate()
         curves[f"{source.name}_lz78"] = [
             (m, b, F(b, m)) for m, b in zip(lz_positions, lz_bits)

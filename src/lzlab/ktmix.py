@@ -6,6 +6,12 @@ are feasible.  Its exact rational twin lives with the tests, in
 ``tests/family.py``: they check measure identities against it, and that the
 code stays within the 2-bit contract of its ideal length (quantization adds
 less than n * 2**-24 bits at test scales).
+
+Orders whose weight floors to 0 retire, and on a low-entropy input all but
+one soon do: on the oscillation runner's traces 94 to 98 % of the bits are
+coded with a single live order.  The mixture is then exactly that order's KT
+estimator, since its lone weight cancels from the prediction and never
+reaches 0, so the coder's loops run its counts directly.
 """
 
 from __future__ import annotations
@@ -13,9 +19,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import arith
-from .arith import PROB_BITS
-from .bitio import decode_int, encode_int, encode_int_len, read_self_delimited, self_delimit, self_delimited_len
+from .arith import HALF, PROB_BITS, QUARTER, STATE_BITS, THREEQ, TOP, _dyadic_bits, termination
+from .bitio import (
+    MalformedInput,
+    decode_int,
+    encode_int,
+    encode_int_len,
+    read_self_delimited,
+    self_delimit,
+    self_delimited_len,
+)
 
 DEFAULT_KMAX = 8
 MAX_KMAX = 20
@@ -50,6 +63,12 @@ class QuantizedMixturePredictor:
     W * B alike, leaves the fraction unchanged.  The orders never all retire:
     after renormalisation the top weight has WEIGHT_BITS bits, and every
     estimate is at least 1/(2 * total + 2).
+
+    Once one order is left (``lone_order``), the prediction is exactly its
+    KT estimate: with A = w*n0, B = d and W = w, floor(2**PROB_BITS * A /
+    (W * B)) = floor(2**PROB_BITS * n0/d), because the lone weight w >= 1
+    cancels.  The weight itself no longer matters, which is why the coder
+    may drop it and update only that order's counts.
 
     Each order keeps flat per-context lists of 2*count0 + 1 and
     2*total + 2, indexed by its last k bits, so the lists of all orders hold
@@ -122,53 +141,159 @@ class QuantizedMixturePredictor:
         # and c >= 1 while 2t + 2 <= 2**PROB_BITS
         self.c = (a << PROB_BITS) // (wsum * b) or 1
 
+    def lone_order(self):
+        """(context mask, 2*count0 + 1 list, 2*total + 2 list, context of the
+        next symbol) of the only live order once it has seen k symbols, else
+        None.  From then on the prediction is that order's KT estimate alone,
+        and every later symbol updates its counts (see the class docstring)."""
+        if len(self.orders) != 1:
+            return None
+        _, k, mask, n0s, ds = self.orders[0]
+        if self.t < k:
+            return None
+        return mask, n0s, ds, self.hist & mask
+
 
 class MixtureCoder:
-    """Coder built on the mixture predictor; self-delimiting codewords."""
+    """Coder built on the mixture predictor; self-delimiting codewords.
+
+    Encoder and decoder are each one loop that keeps the arithmetic coder's
+    state in locals.  While two or more orders are live, each symbol takes the
+    predictor's general step.  Once ``lone_order`` reports a single order, the
+    loop runs that order's counts itself: the prediction is then exactly
+    floor(2**PROB_BITS * n0/d), or 1 should that floor to 0."""
 
     def __init__(self, kmax: int = DEFAULT_KMAX):
         self.kmax = kmax
         self.name = f"mixture{kmax}"
 
-    def _code(self, x: str, positions=(), neg_log=None) -> tuple[arith.ArithmeticEncoder, list[int]]:
-        """The one coding pass over x.  Returns the encoder after all of x and,
-        for each n in positions, the payload length had coding stopped at
-        x[:n] (positions past the end count as len(x)).  Given a list
-        neg_log, appends to it after each symbol the running sum of -log2 of
-        the probabilities coded so far."""
-        want = set(positions)
+    def _code(self, x: str, positions=(), neg_log=None) -> tuple[str, list[int]]:
+        """The one coding pass over x.  Returns the payload and, for each n in
+        positions, the payload length had coding stopped at x[:n] (positions
+        past the end count as len(x)).  Given a list neg_log, appends to it
+        after each symbol the running sum of -log2 of the probabilities coded
+        so far.  The pass runs from one sorted checkpoint to the next."""
+        n = len(x)
+        stops = sorted({p for p in positions if 0 <= p < n})
+        stops.append(n)
         at: dict[int, int] = {}
         pred = QuantizedMixturePredictor(self.kmax)
-        enc = arith.ArithmeticEncoder()
+        c = pred.c
+        lone = None
+        low, high, pending = 0, TOP - 1, 0
+        shifts = 0  # renormalisations, each one payload bit emitted or pending
+        out: list[str] = []
         total = 0.0
-        for t, ch in enumerate(x):
-            if t in want:
-                at[t] = enc.finish_length()
-            bit = 1 if ch == "1" else 0
-            c = pred.prob0_scaled()
-            enc.encode_bit(c, bit)
-            if neg_log is not None:
-                p0 = c / (1 << PROB_BITS)
-                total -= math.log2(1 - p0 if bit else p0)
-                neg_log.append(total)
-            pred.update(bit)
-        return enc, [at[n] if n in at else enc.finish_length() for n in positions]
+        start = 0
+        for stop in stops:
+            for ch in x[start:stop]:
+                bit = 1 if ch == "1" else 0
+                split = low + (((high - low + 1) * c) >> PROB_BITS) - 1
+                if bit:
+                    low = split + 1
+                else:
+                    high = split
+                while True:
+                    if high < HALF:
+                        out.append("0" + "1" * pending)
+                        pending = 0
+                    elif low >= HALF:
+                        out.append("1" + "0" * pending)
+                        pending = 0
+                        low -= HALF
+                        high -= HALF
+                    elif low >= QUARTER and high < THREEQ:
+                        pending += 1
+                        low -= QUARTER
+                        high -= QUARTER
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+                    shifts += 1
+                if neg_log is not None:
+                    p0 = c / (1 << PROB_BITS)
+                    total -= math.log2(1 - p0 if bit else p0)
+                    neg_log.append(total)
+                if lone:
+                    ds[ctx] += 2
+                    if not bit:
+                        n0s[ctx] += 2
+                    ctx = ((ctx << 1) | bit) & mask
+                    c = (n0s[ctx] << PROB_BITS) // ds[ctx] or 1
+                else:
+                    pred.update(bit)
+                    c = pred.c
+                    if len(pred.orders) == 1:
+                        lone = pred.lone_order()
+                        if lone:
+                            mask, n0s, ds, ctx = lone
+            at[stop] = shifts + _dyadic_bits(low, high)[0]
+            start = stop
+        payload = "".join(out) + termination(low, high, pending)
+        return payload, [at[p] if 0 <= p < n else at[n] for p in positions]
 
     def encode(self, x: str) -> str:
-        enc, _ = self._code(x)
-        return self_delimit(encode_int(len(x) + 1) + enc.finish())
+        return self_delimit(encode_int(len(x) + 1) + self._code(x)[0])
 
     def decode(self, bits: str, pos: int = 0) -> tuple[str, int]:
+        """Mirror of ``_code``.  A valid arithmetic code of R
+        renormalisations is R + ell bits long, ell of them closing bits, and
+        the decoder reads STATE_BITS + R bits: at most STATE_BITS implicit
+        zeros past its end.  A code that needs more is malformed."""
         payload, used = read_self_delimited(bits, pos)
         n, u = decode_int(payload)
-        n -= 1
+        src = payload + "0" * STATE_BITS
+        end = len(src)
+        value = int(src[u : u + STATE_BITS], 2)
+        nxt = u + STATE_BITS
         pred = QuantizedMixturePredictor(self.kmax)
-        dec = arith.ArithmeticDecoder(payload, u)
-        out = []
-        for _ in range(n):
-            bit = dec.decode_bit(pred.prob0_scaled())
-            pred.update(bit)
-            out.append("1" if bit else "0")
+        c = pred.c
+        lone = None
+        low, high = 0, TOP - 1
+        out: list[str] = []
+        for _ in range(n - 1):
+            split = low + (((high - low + 1) * c) >> PROB_BITS) - 1
+            if value > split:
+                bit = 1
+                low = split + 1
+                out.append("1")
+            else:
+                bit = 0
+                high = split
+                out.append("0")
+            while True:
+                if high < HALF:
+                    pass
+                elif low >= HALF:
+                    low -= HALF
+                    high -= HALF
+                    value -= HALF
+                elif low >= QUARTER and high < THREEQ:
+                    low -= QUARTER
+                    high -= QUARTER
+                    value -= QUARTER
+                else:
+                    break
+                if nxt == end:
+                    raise MalformedInput("arithmetic payload read past its implicit zeros")
+                low <<= 1
+                high = (high << 1) | 1
+                value = (value << 1) | (src[nxt] == "1")
+                nxt += 1
+            if lone:
+                ds[ctx] += 2
+                if not bit:
+                    n0s[ctx] += 2
+                ctx = ((ctx << 1) | bit) & mask
+                c = (n0s[ctx] << PROB_BITS) // ds[ctx] or 1
+            else:
+                pred.update(bit)
+                c = pred.c
+                if len(pred.orders) == 1:
+                    lone = pred.lone_order()
+                    if lone:
+                        mask, n0s, ds, ctx = lone
         return "".join(out), used
 
     def prefix_bits(self, x: str, positions: list[int], neg_log=None) -> list[int]:
@@ -182,4 +307,4 @@ class MixtureCoder:
 
     def payload_code_len(self, x: str) -> int:
         """Arithmetic-code bits alone, without the framing fields."""
-        return self._code(x)[0].finish_length()
+        return len(self._code(x)[0])

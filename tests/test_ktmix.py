@@ -1,9 +1,13 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lzlab._util import binary_entropy
+from lzlab.arith import PROB_BITS
+from lzlab.bitio import MalformedInput, encode_int, self_delimit
 from lzlab.ktmix import (
     MixtureCoder,
     QuantizedMixturePredictor,
@@ -101,14 +105,74 @@ def test_predictor_rejects_kmax_out_of_range():
 
 
 def test_code_roundtrip_random_words():
-    coder = MixtureCoder(kmax=4)
-    rng = random.Random(55)
-    for _ in range(1000):
-        x = "".join(rng.choice("01") for _ in range(rng.randrange(0, 120)))
-        code = coder.encode(x)
-        word, used = coder.decode(code + "01101")
-        assert word == x
-        assert used == len(code)
+    """kmax 0 codes with a single order from the first bit."""
+    for kmax in (0, 4):
+        coder = MixtureCoder(kmax)
+        rng = random.Random(55)
+        for _ in range(1000):
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(0, 120)))
+            code = coder.encode(x)
+            word, used = coder.decode(code + "01101")
+            assert word == x
+            assert used == len(code)
+
+
+# kmax -> the first bit of ORACLE_INPUTS["alpha"] coded with one live order
+ALPHA_SWITCH = {0: 0, 1: 8181, 2: 8312, 4: 8999}
+
+
+@pytest.mark.parametrize("kmax", sorted(ALPHA_SWITCH))
+def test_single_order_regime_matches_reference(kmax):
+    """Once one order is left, the coder runs its counts without the
+    predictor; its -log2 stream must still equal, float for float, the one
+    the reference predictor's probabilities give."""
+    x = ORACLE_INPUTS["alpha"]
+    ref = ReferenceMixturePredictor(kmax)
+    want = []
+    total = 0.0
+    switch = None
+    for t, ch in enumerate(x):
+        live = [k for k, w in enumerate(ref.w) if w]
+        if switch is None and len(live) == 1 and t >= live[0]:
+            switch = t
+        bit = 1 if ch == "1" else 0
+        p0 = ref.prob0_scaled() / (1 << PROB_BITS)
+        total -= math.log2(1 - p0 if bit else p0)
+        want.append(total)
+        ref.update(bit)
+    assert switch == ALPHA_SWITCH[kmax]
+    got = []
+    MixtureCoder(kmax).prefix_bits(x, [len(x)], got)
+    assert got == want
+
+
+@pytest.mark.parametrize("kmax", sorted(ALPHA_SWITCH))
+def test_code_roundtrip_across_the_single_order_switch(kmax):
+    coder = MixtureCoder(kmax)
+    s = ALPHA_SWITCH[kmax]
+    ns = sorted({0, 1, s, s + 1, s + 2, s + 500, len(ORACLE_INPUTS["alpha"])})
+    x = ORACLE_INPUTS["alpha"]
+    lens = coder.prefix_bits(x, ns)
+    for n, ln in zip(ns, lens):
+        code = coder.encode(x[:n])
+        assert len(code) == ln
+        assert coder.decode(code + "1") == (x[:n], ln)
+
+
+def test_decoder_rejects_forged_overread():
+    """A valid payload of R renormalisations has at least R bits, and its
+    decoder reads STATE_BITS + R: at most STATE_BITS implicit zeros past its
+    end.  Every payload of at most 6 bits behind a length field of 4,096
+    symbols needs more, so each such codeword is rejected; the cheapest
+    4,096-symbol word codes to 8 payload bits and still decodes."""
+    coder = MixtureCoder(kmax=2)
+    zeros = "0" * 4096
+    assert coder.payload_code_len(zeros) == 8
+    assert coder.decode(coder.encode(zeros))[0] == zeros
+    for size in range(7):
+        for payload in itertools.product("01", repeat=size):
+            with pytest.raises(MalformedInput):
+                coder.decode(self_delimit(encode_int(4097) + "".join(payload)))
 
 
 def test_code_length_against_ideal():
