@@ -38,11 +38,12 @@ DEFICIENCY_MIXTURE_CSV_SHA256 = "be304dc770dd6f1fb0b12ce9f7c9df57024e2a66917caea
 ALPHA_BITS_SHA256 = "235777f49f7756c5e8fbb83daebcd412acf07c1560ad883861639e9195280242"
 ALPHA_TRACE_SHA256 = "d1e3343546afbabb7b581c16f78b1cf4890558733059cd0448500b78a0e212ad"
 # the stdout text of `gadget stats` and `theorem1 build`, well-distributedness
-# included, byte for byte: wd "none" at stage 0, "exact" at stage 2 and
-# "skipped" past stage 6
+# included, byte for byte: wd "none" at stage 0, "exact" at stages 2 and 4
+# and "skipped" past stage 6
 GADGET_STATS_STDOUT_SHA256 = {
     ("0", "4", "2,2"): "989273b2e8cdd901bac36b4a5b4ab3c30fc7057143ab44be9b40bc4a75b7ef51",
     ("2", "4", "2,2"): "2867832757100c22ec3b10e0ab077a3ef1d1aba27b56b454e444b5b036926a56",
+    ("4", "4", "2,2,2,2"): "1377d7ab35dd84f71766108b2212cb9d9120de950b8ee9fd29c80fc477ff35ac",
     ("7", "16", "4,4,4,4,2,2,2,2,2"): "155d22703b82ba921f727219ad18811dec7dea0dca01157822ca14e30217ce1f",
 }
 THEOREM1_BUILD_STDOUT_SHA256 = "da2e8b31d5be1c3e50bb95f236b3763dd169dfd3d77f072c891d0f9c3d01bdf8"
@@ -155,8 +156,7 @@ def test_gadget_dump_pinned(capsys):
 
 def test_gadget_wd_prints_value(capsys):
     main(["gadget", "wd", "--stage", "1", "--h0", "2", "--folds", "2,2"])
-    out = capsys.readouterr().out
-    assert "wd =" in out
+    assert capsys.readouterr().out == "stage 1: wd = 34334213/67108864 (0.511620)\n"
 
 
 def test_gadget_rejects_stages_without_a_fold_count():
