@@ -32,13 +32,12 @@ base gadget's columns, the closed form of well-distributedness -- is one
 weighted sum (``_weighted_sum``): it lifts each part to a common Q, moves
 the power of two of the part's weight into the exponents, and adds.  Once
 per node Q and the numerators are divided by their gcd.  The column-class
-tables and the enumeration of well-distributedness still work on Fractions;
+tables and the well-distributedness DP over them work on Fractions;
 everything else builds a Fraction only where a result leaves the module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -49,7 +48,6 @@ from ._util import cut_points, format_rational
 from .intervals import Gadget, GadgetError, count_occurrences
 
 CLASS_TABLE_CAP = 4096
-WD_ENUM_CAP = 200_000
 
 
 class InfeasibleExact(GadgetError):
@@ -72,7 +70,7 @@ class SymbolicGadget:
         self._classes = -1  # lazy; -1 = not computed, None = over cap
         self._moments: dict[int, tuple[int, dict]] = {}
 
-    # -- column classes: (width share, height, count) of interchangeable columns
+    # -- column classes: {(per-column width share, height): column count}
     def classes(self):
         if self._classes == -1:
             self._classes = self._compute_classes()
@@ -129,11 +127,7 @@ class BaseNode(SymbolicGadget):
         return h
 
     def _compute_classes(self):
-        groups: dict[tuple[Fraction, int], int] = {}
-        for c in self.gadget.columns:
-            key = (c.width, c.height)
-            groups[key] = groups.get(key, 0) + 1
-        return [(w * n / self.width, h, n) for (w, h), n in groups.items()]
+        return _merged((c.width / self.width, c.height, 1) for c in self.gadget.columns)
 
     def _compute_moments(self, p):
         """The union of its columns; one column alone has T(p, q) = h**q."""
@@ -203,16 +197,11 @@ class UnionNode(SymbolicGadget):
         self._cuts = None
 
     def _compute_classes(self):
-        out = []
-        for c in self.children:
-            sub = c.classes()
-            if sub is None:
-                return None
-            share = c.width / self.width
-            out.extend((share * s, h, n) for s, h, n in sub)
-            if len(out) > CLASS_TABLE_CAP:
-                return None
-        return out
+        subs = [c.classes() for c in self.children]
+        if any(sub is None for sub in subs):
+            return None
+        shares = [c.width / self.width for c in self.children]
+        return _merged((share * g, h, n) for share, sub in zip(shares, subs) for (g, h), n in sub.items())
 
     def _compute_moments(self, p):
         return _weighted_sum([(c._moments_of(p), c.width / self.width) for c in self.children], p)
@@ -242,15 +231,7 @@ class StackNode(SymbolicGadget):
         self.max_gamma = lower.max_gamma * upper.max_gamma
 
     def _compute_classes(self):
-        cl = self.lower.classes()
-        cu = self.upper.classes()
-        if cl is None or cu is None or len(cl) * len(cu) > CLASS_TABLE_CAP:
-            return None
-        return [
-            (sl * su, hl + hu, nl * nu)
-            for sl, hl, nl in cl
-            for su, hu, nu in cu
-        ]
+        return _stack_classes(self.lower.classes(), self.upper.classes())
 
     def _compute_moments(self, p):
         return _stack_moments(self.lower._moments_of(p), self.upper._moments_of(p))
@@ -280,21 +261,13 @@ class MFoldNode(SymbolicGadget):
             self.uniform_height = child.uniform_height * m
 
     def _compute_classes(self):
+        """A class of the m-fold is a multiset of m child classes, so a
+        child with k classes gives at most C(m + k - 1, m); a power whose
+        bound passes the cap is refused before any pair is walked."""
         sub = self.child.classes()
-        if sub is None:
+        if sub is None or math.comb(self.m + len(sub) - 1, self.m) > CLASS_TABLE_CAP:
             return None
-        k = len(sub)
-        if math.comb(self.m + k - 1, k - 1) > CLASS_TABLE_CAP:
-            return None
-        out = []
-        for vec, ways in _compositions(self.m, k):
-            share, height, count = Fraction(ways), 0, ways
-            for (s, h, n), c in zip(sub, vec):
-                share *= s**c
-                height += h * c
-                count *= n**c
-            out.append((share, height, count))
-        return out
+        return _power(sub, self.m, _stack_classes)
 
     def _compute_moments(self, p):
         return _power(self.child._moments_of(p), self.m, _stack_moments)
@@ -304,14 +277,6 @@ class MFoldNode(SymbolicGadget):
             h = self.uniform_height
             return format(rng.getrandbits(h), f"0{h}b") if h else ""
         return "".join(self.child.sample_column(rng) for _ in range(self.m))
-
-
-def _compositions(m: int, k: int):
-    """(counts, multinomial coefficient) for every way m ordered draws fall
-    into k classes; counts ascend lexicographically."""
-    for bars in itertools.combinations(range(m + k - 1), k - 1):
-        vec = [b - a - 1 for a, b in zip((-1, *bars), (*bars, m + k - 1))]
-        yield vec, math.factorial(m) // math.prod(math.factorial(c) for c in vec)
 
 
 def base_node(gadget: Gadget) -> BaseNode:
@@ -393,6 +358,29 @@ def _power(f, k: int, combine):
         if k:
             f = combine(f, f)
     return result
+
+
+# ---------------------------------------------------------------------------
+# column classes: {(g, h): n}, n columns of per-column share g and height h
+
+
+def _merged(columns):
+    """The class table of (g, h, n) triples, equal keys merged; None once it
+    has more than CLASS_TABLE_CAP classes."""
+    out: dict[tuple[Fraction, int], int] = {}
+    for g, h, n in columns:
+        out[g, h] = out.get((g, h), 0) + n
+        if len(out) > CLASS_TABLE_CAP:
+            return None
+    return out
+
+
+def _stack_classes(lower, upper):
+    """Classes of a stack: shares multiply, heights add and counts multiply."""
+    if lower is None or upper is None:
+        return None
+    return _merged((gl * gu, hl + hu, nl * nu)
+                   for (gl, hl), nl in lower.items() for (gu, hu), nu in upper.items())
 
 
 # ---------------------------------------------------------------------------
@@ -538,31 +526,33 @@ def name_measure(node: SymbolicGadget, x: str, restricted: bool = False,
 # well-distributedness
 
 
-def _wd_enum(classes, W: Fraction, M: int) -> Fraction:
-    """Exact expectation over class count-vectors (multinomial) and the
-    within-class binomial split."""
-    K = len(classes)
-    shares = [c[0] for c in classes]
-    heights = [c[1] for c in classes]
-    counts = [c[2] for c in classes]
+def _wd_dp(classes, W: Fraction, M: int) -> Fraction:
+    """Exact expectation from the class table.  Of the M draws, c hit a
+    given column (share g, height h) with probability C(M, c) g**c, and the
+    other M - c have total height H' with law P_{M-c}, the height law less
+    g at h convolved M - c times; the column's n copies and h levels each
+    add |c - W g (c h + H')|."""
+    law: dict[int, Fraction] = {}
+    for (g, h), n in classes.items():
+        law[h] = law.get(h, 0) + g * n
     total = Fraction(0)
-    compositions = [
-        (vec, ways * math.prod(s**c for s, c in zip(shares, vec)))
-        for vec, ways in _compositions(M, K)
-    ]
-    for k in range(K):
-        n_k = counts[k]
-        w_k = W * shares[k] / n_k
-        h_k = heights[k]
-        exp_abs = Fraction(0)
-        for vec, p in compositions:
-            H = sum(c * h for c, h in zip(vec, heights))
-            ck = vec[k]
-            q = Fraction(1, n_k)
-            for c in range(ck + 1):
-                pc = math.comb(ck, c) * q**c * (1 - q) ** (ck - c)
-                exp_abs += p * pc * abs(c - w_k * H)
-        total += n_k * h_k * exp_abs
+    for (g, h), n in classes.items():
+        miss = dict(law)
+        miss[h] -= g
+        if not miss[h]:
+            del miss[h]
+        laws = [{0: Fraction(1)}]
+        for _ in range(M):
+            nxt: dict[int, Fraction] = {}
+            for a, p in laws[-1].items():
+                for b, q in miss.items():
+                    nxt[a + b] = nxt.get(a + b, 0) + p * q
+            laws.append(nxt)
+        wg = W * g
+        exp_abs = sum(
+            math.comb(M, c) * g**c * sum(p * abs(c - wg * (c * h + H)) for H, p in rest.items())
+            for c, rest in enumerate(reversed(laws)))
+        total += n * h * exp_abs
     return total * W / M
 
 
@@ -584,14 +574,13 @@ def _wd_closed(node: SymbolicGadget, M: int) -> Fraction:
 
 
 def well_distributedness_mfold(node: SymbolicGadget, M: int) -> Fraction:
-    """Exact double-sum distance of node vs its M-fold cut-and-stack."""
-    classes = node.classes()
-    if classes is not None:
-        K = len(classes)
-        if math.comb(M + K - 1, K - 1) * K <= WD_ENUM_CAP:
-            return _wd_enum(classes, node.width, M)
+    """Exact double-sum distance of node vs its M-fold cut-and-stack: the
+    closed form where its columns are narrow enough, else the class DP."""
     if node.width * node.max_gamma * M * node.max_height < 1:
         return _wd_closed(node, M)
+    classes = node.classes()
+    if classes is not None:
+        return _wd_dp(classes, node.width, M)
     raise InfeasibleExact(
         "no exact well-distributedness strategy applies (too many column "
         "classes and columns too wide for the closed form)"

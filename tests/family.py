@@ -667,12 +667,14 @@ def reference_wd_closed(node, M, cache=None):
 
 
 def reference_wd_enum(classes, W, M):
-    """``symbolic._wd_enum`` as first written: the expectation over class
-    count-vectors by a recursive closure."""
+    """Well-distributedness from a class table {(g, h): n} by enumeration:
+    the expectation over the class count-vectors of the M draws (built by a
+    recursive closure) and the binomial split within a class.  It is the
+    oracle that ``symbolic._wd_dp`` must equal."""
     K = len(classes)
-    shares = [c[0] for c in classes]
-    heights = [c[1] for c in classes]
-    counts = [c[2] for c in classes]
+    shares = [g * n for (g, _), n in classes.items()]
+    heights = [h for _, h in classes]
+    counts = list(classes.values())
     compositions = []
 
     def rec(idx, left, prob, vec):

@@ -27,7 +27,7 @@ from lzlab.symbolic import (
     union,
     well_distributedness_mfold,
     _wd_closed,
-    _wd_enum,
+    _wd_dp,
 )
 
 F = Fraction
@@ -234,7 +234,7 @@ def test_symbolic_equals_explicit_oracle_200_instances():
         checked += 1
 
 
-def test_wd_closed_form_agrees_with_enumeration():
+def test_wd_closed_form_agrees_with_class_dp():
     # narrow columns so the closed form's validity condition holds
     cols = []
     cursor = F(0)
@@ -249,9 +249,9 @@ def test_wd_closed_form_agrees_with_enumeration():
     node = base_node(Gadget(cols))
     for M in (2, 3, 5):
         assert node.width * node.max_gamma * M * node.max_height < 1
-        enum = well_distributedness_mfold(node, M)
         closed = _wd_closed(node, M)
-        assert enum == closed
+        assert _wd_dp(node.classes(), node.width, M) == closed
+        assert well_distributedness_mfold(node, M) == closed
 
 
 def test_symbolic_stack_union_cut_match_explicit():
@@ -312,9 +312,9 @@ def test_union_disjointness_enforced():
         union_gadgets(g, g)
 
 
-def test_classes_and_wd_enum_leave_no_reference_cycles():
-    """Class tables and the enumerated well-distributedness free everything
-    they allocate by reference counting; nothing waits for the collector."""
+def test_classes_and_wd_dp_leave_no_reference_cycles():
+    """Class tables and the well-distributedness DP free everything they
+    allocate by reference counting; nothing waits for the collector."""
     base = base_node(Gadget([make_column(0, F(1, 8), "0"), make_column(F(1, 2), F(1, 4), "11")]))
     node = mfold(base, 3)
     gc.collect()
@@ -322,7 +322,7 @@ def test_classes_and_wd_enum_leave_no_reference_cycles():
     try:
         classes = node.classes()
         assert len(classes) == 4
-        _wd_enum(classes, node.width, 3)
+        _wd_dp(classes, node.width, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()

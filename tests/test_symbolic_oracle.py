@@ -38,9 +38,9 @@ from lzlab.experiments import DEFICIENCY_DEFAULTS, OSCILLATION_DEFAULTS, _alpha_
 from lzlab.intervals import Column, Gadget, Interval
 from lzlab.sources import bernoulli
 from lzlab.symbolic import (
-    WD_ENUM_CAP,
     InfeasibleExact,
     _wd_closed,
+    _wd_dp,
     base_node,
     cut_symbolic,
     mfold,
@@ -54,6 +54,7 @@ F = Fraction
 
 TREE_COLUMN_CAP = 16  # explicit columns of a drawn tree
 WD_COLUMN_CAP = 64  # explicit columns of the M-fold in a wd comparison
+REFERENCE_WD_TERMS = 200_000  # count-vector terms reference_wd_enum may sum
 
 weights = st.integers(1, 3)
 
@@ -179,11 +180,8 @@ def test_classes_and_moments_equal_explicit(drawn):
     node = build(drawn[0])
     explicit = materialize(node)
     classes = node.classes()
-    assert classes is not None
-    got = Counter()
-    for share, h, n in classes:
-        got[share / n, h] += n
-    assert got == _explicit_classes(explicit)
+    # one entry per (per-column share, height) key, with its column count
+    assert classes == _explicit_classes(explicit)
     w = explicit.width
     for p in range(6):  # _wd_closed reads p <= M + 1, and M = 4 in the fold schedules
         want = [
@@ -208,6 +206,9 @@ def test_wd_mfold_equals_explicit(drawn, M):
         pass
     if node.width * node.max_gamma * M * node.max_height < 1:
         assert _wd_closed(node, M) == want
+    classes = node.classes()
+    if classes is not None:
+        assert _wd_dp(classes, node.width, M) == want
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +276,12 @@ def _certified_stages(construction):
     return [construction.stage(s) for s in range(1, WD_STAGE_CAP + 1)]
 
 
+def _reference_terms(classes, M):
+    """Count-vector terms reference_wd_enum sums over a class table."""
+    k = len(classes)
+    return math.comb(M + k - 1, k - 1) * k
+
+
 @pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
 def test_moments_and_wd_equal_reference_at_stage_scale(name):
     construction = _construction(name)
@@ -287,12 +294,33 @@ def test_moments_and_wd_equal_reference_at_stage_scale(name):
         if closed:
             assert _wd_closed(node, M) == reference_wd_closed(node, M, cache), stage.s
         classes = node.classes()
-        if classes is not None and math.comb(M + len(classes) - 1, len(classes) - 1) * len(classes) <= WD_ENUM_CAP:
+        if classes is not None and _reference_terms(classes, M) <= REFERENCE_WD_TERMS:
             want = reference_wd_enum(classes, node.width, M)
+            assert _wd_dp(classes, node.width, M) == want, stage.s
         else:
             assert closed
             want = reference_wd_closed(node, M, cache)
         assert construction.wd(stage.s) == (want, "exact"), stage.s
+
+
+@pytest.fixture(scope="module")
+def oscillation_construction():
+    """The oscillation runner's default construction (h0 = 256)."""
+    cfg = OSCILLATION_DEFAULTS
+    return Construction(ConstructionParams(r=parse_rational(cfg["r"]), h0=cfg["h0"],
+                                           fold_schedule=tuple(cfg["fold_schedule"])))
+
+
+@pytest.mark.parametrize("s,M,approx", [(1, 8, None), (1, 16, "0.20552"), (2, 8, "1.23509")])
+def test_wd_dp_equals_reference_past_the_fold_schedule(oscillation_construction, s, M, approx):
+    """Fold counts above the schedule's 4, as a faithful search tries them."""
+    node = oscillation_construction.stage(s).fold_base
+    classes = node.classes()
+    want = reference_wd_enum(classes, node.width, M)
+    assert _wd_dp(classes, node.width, M) == want
+    assert well_distributedness_mfold(node, M) == want
+    if approx is not None:
+        assert f"{float(want):.5f}" == approx
 
 
 def test_sample_column_equals_reference_on_codec_fold_bases():
