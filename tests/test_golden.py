@@ -5,7 +5,9 @@ A refactor of a coder must reproduce these exactly: the sha256 of each
 ``encode`` codeword, of the ``prefix_bits`` list at fixed checkpoints, and
 the mixture coders' ``payload_code_len``.  The checkpoints include 0, every
 LZ78 phrase boundary, and a cut inside the input's final, incomplete LZ78
-phrase.  The mixture coders are pinned once more on a 2^15-bit alpha prefix.
+phrase.  The mixture coders are pinned once more on a 2^15-bit alpha prefix,
+and LZ78's ``prefix_bits``, alone and in block realizations, on 2^15-bit
+Markov samples at the robustness runner's checkpoints.
 """
 
 import hashlib
@@ -139,6 +141,34 @@ def test_golden_digest_long_alpha(coder_name):
         "prefix_bits": _sha(",".join(map(str, coder.prefix_bits(x, checkpoints)))),
         "payload_code_len": coder.payload_code_len(x),
     } == GOLDEN_LONG_ALPHA[coder_name]
+
+
+# LZ78 and its block realizations at the robustness runner's scale: 2^15-bit
+# samples, a checkpoint every 4096 bits
+ROBUSTNESS_INPUTS = {
+    "flip": flip_chain(Fraction(1, 10)).sample(13, 1 << 15),
+    "fair": bernoulli(Fraction(1, 2)).sample(14, 1 << 15),
+}
+GOLDEN_LZ78_PREFIX = {
+    ("lz78", "fair"): "a8e2f8d2de988f28",
+    ("lz78", "flip"): "e841eb5f6f253327",
+    ("block64-lz78", "fair"): "534d3afb3dccbda1",
+    ("block64-lz78", "flip"): "076ccb2fb9a8abd4",
+    ("block1024-lz78", "fair"): "21990e4c99908413",
+    ("block1024-lz78", "flip"): "471bf9136c673b8b",
+    ("block16384-lz78", "fair"): "f5e6579bc4f6f617",
+    ("block16384-lz78", "flip"): "a8908c96b57d745f",
+}
+
+
+@pytest.mark.parametrize("input_name", sorted(ROBUSTNESS_INPUTS))
+@pytest.mark.parametrize("block_len", [None, 64, 1024, 16384])
+def test_golden_lz78_prefix_bits_at_robustness_scale(block_len, input_name):
+    x = ROBUSTNESS_INPUTS[input_name]
+    coder = LZ78Coder() if block_len is None else BlockCoder(block_len, LZ78Coder())
+    checkpoints = [*range(0, len(x), 4096), len(x)]
+    digest = _sha(",".join(map(str, coder.prefix_bits(x, checkpoints))))
+    assert digest == GOLDEN_LZ78_PREFIX[coder.name, input_name]
 
 
 # The runners at the configs of the benchmark's ``runners`` workload.
