@@ -3,9 +3,9 @@
 Two variants are implemented:
 
 * ``LZ78Coder`` -- incremental parsing into phrases, each the shortest
-  extension of a previously seen phrase.  Phrase k is coded as the
-  dictionary index of its longest proper prefix in a fixed-width field of
-  ceil(log2 k) bits, followed by its new symbol.
+  extension of a previously seen phrase: one walk down a binary trie whose
+  node k is phrase k.  Phrase k is coded as the node id of its longest
+  proper prefix in a fixed-width field of ceil(log2 k) bits, then a symbol.
 * ``LZWindowCoder`` -- greedy longest match against all previous symbols, or
   against the previous ``window`` symbols; the source start must lie in the
   window but the copy may overlap the current position.  Smallest offset
@@ -23,9 +23,9 @@ that ``encode`` emits, without encoding the prefixes.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .bitio import (
     MalformedInput,
@@ -41,9 +41,9 @@ from .bitio import (
 class Phrase:
     """One parsed phrase: referenced dictionary entry plus one new symbol.
 
-    ``ref_index`` is the dictionary index of the longest previously seen
-    prefix (0 is the empty phrase) and ``ref_len`` its length; ``sym`` is
-    None only for an incomplete final phrase.
+    ``ref_index`` is the trie node id of the longest proper prefix, which is
+    its dictionary index (0 is the empty phrase), and ``ref_len`` its length;
+    ``sym`` is None only for an incomplete final phrase.
     """
 
     ref_index: int
@@ -56,30 +56,37 @@ class PhraseParse:
     phrases: list[Phrase]
 
 
-def lz78_phrases(x: str) -> Iterator[Phrase]:
-    """Greedy leftmost incremental parse, yielded phrase by phrase; the final
-    phrase may be incomplete."""
-    index_of: dict[str, int] = {"": 0}
-    current = ""
-    cur_idx = 0
-    for ch in x:
-        candidate = current + ch
-        idx = index_of.get(candidate)
-        if idx is not None:
-            current = candidate
-            cur_idx = idx
-            continue
-        yield Phrase(cur_idx, len(current), ch)
-        index_of[candidate] = len(index_of)
-        current = ""
-        cur_idx = 0
-    if current:
-        yield Phrase(cur_idx, len(current), None)
+def _lz78_walk(x: str) -> tuple[list[int], list[int], int]:
+    """Greedy leftmost incremental parse of the binary word x: one walk down
+    a trie whose node k is phrase k (node 0 is the empty phrase), with its
+    children at ``child[2k + bit]``, stored doubled and 0 while absent.
+    Phrase k has length ``lens[k]`` and longest proper prefix ``refs[k]``;
+    an incomplete final phrase is node ``tail``, 0 if there is none."""
+    if x.count("0") + x.count("1") != len(x):
+        raise ValueError("LZ78 parses binary words only")
+    child = [0, 0]
+    refs, lens = [0], [0]
+    at = 0
+    for b in x.encode().translate(bytes.maketrans(b"01", b"\0\1")):
+        slot = at + b
+        at = child[slot]
+        if not at:
+            ref = slot >> 1
+            child[slot] = len(child)
+            child += (0, 0)
+            refs.append(ref)
+            lens.append(lens[ref] + 1)
+    return refs, lens, at >> 1
 
 
 def lz78_parse(x: str) -> PhraseParse:
-    """All phrases of x, collected."""
-    return PhraseParse(list(lz78_phrases(x)))
+    """All phrases of x, read off the trie walk; the final phrase may be
+    incomplete."""
+    refs, lens, tail = _lz78_walk(x)
+    phrases = [Phrase(r, n - 1, x[e - 1]) for r, n, e in zip(refs[1:], lens[1:], accumulate(lens[1:]))]
+    if tail:
+        phrases.append(Phrase(tail, lens[tail], None))
+    return PhraseParse(phrases)
 
 
 def _fixed_width(k: int) -> int:
@@ -129,29 +136,22 @@ class LZ78Coder:
         return "".join(out), used
 
     def prefix_bits(self, x: str, positions: list[int]) -> list[int]:
-        """Exact codeword length of every prefix x[:n] in one parse pass.
-
-        A prefix that ends inside phrase k ends in a proper prefix of it,
-        which the dictionary already holds (it is prefix-closed): x[:n]
-        parses as phrases 1..k-1 plus phrase k cut short, which keeps its
-        index field and loses its symbol.  The parse is streamed, not
-        collected, so the phrases of x are never all held at once.
-        """
-        want = sorted(set(positions))
-        at: dict[int, int] = {}
-        wi = 0
-        end = payload = 0
-        for k, ph in enumerate(lz78_phrases(x), start=1):
-            start, end = end, end + ph.ref_len + (ph.sym is not None)
-            while wi < len(want) and want[wi] < end:
-                n = want[wi]
-                cut = len(self._phrase_bits(replace(ph, sym=None), k)) if n > start else 0
-                at[n] = self_delimited_len(payload + cut)
-                wi += 1
-            payload += len(self._phrase_bits(ph, k))
-        for n in want[wi:]:
-            at[n] = self_delimited_len(payload)
-        return [at[n] for n in positions]
+        """Exact codeword length of every prefix x[:n], n >= 0, from the
+        phrase ends of one trie walk: phrase k costs ``_fixed_width(k)`` bits
+        plus its symbol.  A prefix that ends inside phrase k ends in a proper
+        prefix of it, which the dictionary already holds (it is
+        prefix-closed): x[:n] parses as phrases 1..k-1 plus phrase k cut
+        short, which keeps its index field and loses its symbol."""
+        _, lens, tail = _lz78_walk(x)
+        ends = list(accumulate(lens))  # ends[k]: where phrase k ends
+        count = len(ends) - 1 + (tail > 0)  # phrases, an incomplete one too
+        index_bits = list(accumulate(map(_fixed_width, range(1, count + 1)), initial=0))
+        out = []
+        for n in positions:
+            m = bisect.bisect_right(ends, n) - 1  # phrases complete in x[:n]
+            cut = n > ends[m] and m < count  # x[:n] ends inside phrase m + 1
+            out.append(self_delimited_len(index_bits[m + cut] + m))
+        return out
 
 
 def _window_grams(rev: str) -> bytes:

@@ -3,7 +3,7 @@ selection-procedure suites, a seeded alpha trace prefix, a verbatim
 test-double coder, and reference versions of the mixture predictor, the
 name-measure DP, the well-distributedness moments, column sampling,
 ``transformation_extends`` (the sweep version is in explicit.py), the suffix
-automaton and the window-LZ coder.
+automaton, the window-LZ coder and the dict-of-strings LZ78 parse.
 
 It also holds the oracles that only the tests run: supermartingales and the
 bounded-increase selection procedure (acceptance criterion 3), the exact KT
@@ -847,3 +847,25 @@ class ReferenceLZWindowCoder(LZWindowCoder):
                     pl += len(self._triple_bits(i, n - i, srcp, None))
             results.append(self_delimited_len(pl))
         return results
+
+
+def reference_lz78_phrases(x):
+    """The LZ78 incremental parse as first written, by a dict of phrase
+    strings: (ref_index, ref_len, sym) per phrase, sym None for an
+    incomplete final phrase."""
+    index_of = {"": 0}
+    current = ""
+    cur_idx = 0
+    for ch in x:
+        candidate = current + ch
+        idx = index_of.get(candidate)
+        if idx is not None:
+            current = candidate
+            cur_idx = idx
+            continue
+        yield cur_idx, len(current), ch
+        index_of[candidate] = len(index_of)
+        current = ""
+        cur_idx = 0
+    if current:
+        yield cur_idx, len(current), None

@@ -3,10 +3,17 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from family import ReferenceLZWindowCoder, ReferenceSuffixAutomaton, VerbatimCoder, alpha_prefix, decodability_check
+from family import (
+    ReferenceLZWindowCoder,
+    ReferenceSuffixAutomaton,
+    VerbatimCoder,
+    alpha_prefix,
+    decodability_check,
+    reference_lz78_phrases,
+)
 from lzlab.bitio import MalformedInput, encode_int, encode_int_len, self_delimit
 from lzlab.ktmix import MixtureCoder
 from lzlab.lz import (
@@ -270,6 +277,24 @@ def test_lzwin_parse_matches_reference_on_drawn_words(x, window):
     assert coder.prefix_bits(x, every) == ref.prefix_bits(x, every)
     code = coder.encode(x)
     assert coder.decode(code) == (x, len(code))
+
+
+LZ78_CODERS = [LZ78Coder(), *(BlockCoder(N, LZ78Coder()) for N in (1, 7, 64))]
+
+
+@settings(max_examples=300)
+@given(binary_words, st.lists(st.integers(0, 170), max_size=8))
+# "0" * 9 parses as 0, 00, 000, 000 and the hand trace plus "1" as its seven
+# phrases and 1: both end inside an incomplete phrase
+@example("", [3])
+@example("0" * 9, [4, 9])
+@example("1011010100010" + "1", [13])
+def test_lz78_trie_walk_matches_reference_parse(x, drawn):
+    # checkpoints unsorted, repeated, at 0 and past the end
+    ps = [*drawn, 0, len(x) + 2, *drawn]
+    assert [(p.ref_index, p.ref_len, p.sym) for p in lz78_parse(x).phrases] == list(reference_lz78_phrases(x))
+    for coder in LZ78_CODERS:
+        assert coder.prefix_bits(x, ps) == [len(coder.encode(x[:n])) for n in ps], coder.name
 
 
 def test_window_grams_are_the_8_bit_windows():
