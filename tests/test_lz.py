@@ -48,6 +48,15 @@ def test_parse_empty():
     assert lz78_parse("").phrases == []
 
 
+def test_parse_rejects_non_binary_words():
+    # the trie has two children per node: any other symbol must not index it
+    for x in ("2", "01" * 100 + "a0"):
+        with pytest.raises(ValueError, match="binary"):
+            lz78_parse(x)
+        with pytest.raises(ValueError, match="binary"):
+            LZ78Coder().prefix_bits(x, [len(x)])
+
+
 def test_parse_all_zeros_incomplete_tail():
     parse = lz78_parse("0000")
     assert phrase_strings("0000") == ["0", "00", "0"]
