@@ -211,3 +211,34 @@ def runner_digest(name: str, outdir: str) -> str:
 @pytest.mark.parametrize("name", sorted(RUNNER_CONFIGS))
 def test_golden_runner_results(name, tmp_path):
     assert runner_digest(name, str(tmp_path)) == GOLDEN_RUNNERS[name]
+
+
+# universality and robustness: every CSV file the runner writes, by name
+GOLDEN_RUNNER_CSVS = {
+    "robustness": {
+        "robustness_bernoulli(1_2)_block1024.csv": "662de4bc1aff16f1",
+        "robustness_bernoulli(1_2)_block16384.csv": "8521d60e24c9b4e0",
+        "robustness_bernoulli(1_2)_block64.csv": "2871db08d8bb5141",
+        "robustness_bernoulli(1_2)_full.csv": "6ff8ddd3731c7628",
+        "robustness_flip(1_10)_block1024.csv": "85c20f5b8a1e9273",
+        "robustness_flip(1_10)_block16384.csv": "77da1f9276ee7949",
+        "robustness_flip(1_10)_block64.csv": "0afa841136676a90",
+        "robustness_flip(1_10)_full.csv": "c7cce161f9883990",
+    },
+    "universality": {
+        "universality_bernoulli(1_5)_lz78.csv": "a402554b5285379c",
+        "universality_flip(1_10)_lz78.csv": "4ee3652d7222525e",
+        "universality_markov2_lz78.csv": "9ca06ffc4321abf9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNNER_CSVS))
+def test_golden_runner_csvs(name, tmp_path):
+    experiments.RUNNERS[name](dict(RUNNER_CONFIGS[name], seed=RUNNER_SEED), str(tmp_path))
+    got = {
+        fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()[:16]
+        for fname in os.listdir(tmp_path)
+        if fname.endswith(".csv")
+    }
+    assert got == GOLDEN_RUNNER_CSVS[name]
