@@ -111,8 +111,8 @@ def cmd_decode(args):
 def cmd_ratio_curve(args):
     coder = _make_coder(args)
     word = read_bits_file(args.infile)
-    curve = ratio_curve(coder, word, args.stride)
-    _write_csv(args.csv, experiments.curve_csv(curve.points), len(curve.points))
+    points = ratio_curve(coder, word, args.stride)
+    _write_csv(args.csv, experiments.curve_csv(points), len(points))
 
 
 def cmd_mixture(args):
@@ -214,9 +214,9 @@ def cmd_deficiency(args):
         measure = _make_source(args.measure)
     coder = LZ78Coder() if args.code == "lz78" else MixtureCoder(args.kmax)
     word = read_bits_file(args.infile)
-    curve = deficiency_curve(word, measure, code=coder, stride=args.stride)
-    text = experiments.csv_text(["n", "dhat"], ([n, f"{d:.6f}"] for n, d in curve.points))
-    _write_csv(args.csv, text, len(curve.points))
+    points = deficiency_curve(word, measure, code=coder, stride=args.stride)
+    text = experiments.csv_text(["n", "dhat"], ([n, f"{d:.6f}"] for n, d in points))
+    _write_csv(args.csv, text, len(points))
 
 
 def cmd_source(args):

@@ -14,7 +14,6 @@ test suite's check of acceptance criterion 3, and live in ``tests/family.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._util import log2_fraction
@@ -53,16 +52,11 @@ def surrogate_deficiency(x: str, measure, code=None) -> float:
     return -log2_fraction(p_hat) - monotone_length(coder, x)
 
 
-@dataclass
-class DeficiencyCurve:
-    points: list[tuple[int, float]] = field(default_factory=list)
-
-
-def deficiency_curve(omega: str, measure, code=None, stride: int = 1024) -> DeficiencyCurve:
-    """Surrogate deficiency of the prefixes at multiples of stride."""
+def deficiency_curve(omega: str, measure, code=None, stride: int = 1024) -> list[tuple[int, float]]:
+    """(n, surrogate deficiency) of the prefixes at multiples of stride."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    curve = DeficiencyCurve()
-    for n in range(stride, len(omega) + 1, stride):
-        curve.points.append((n, surrogate_deficiency(omega[:n], measure, code=code)))
-    return curve
+    return [
+        (n, surrogate_deficiency(omega[:n], measure, code=code))
+        for n in range(stride, len(omega) + 1, stride)
+    ]

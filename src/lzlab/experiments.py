@@ -25,7 +25,7 @@ from ._util import log2_fraction, parse_rational, stream_seed, write_atomic, wri
 from .construction import Construction, ConstructionParams, FragmentSpec, build_alpha
 from .deficiency import monotone_length, probability_estimate
 from .ktmix import MixtureCoder
-from .lz import BlockCoder, LZ78Coder, LZWindowCoder
+from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_points
 from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 
 F = Fraction
@@ -146,11 +146,11 @@ def _finish(summary: dict, experiment: str, csvs: dict[str, str], outdir: str | 
 
 
 def parallel_map(fn, jobs: list) -> list:
-    """``[fn(job) for job in jobs]``, with the jobs handed out in order to
+    """``[fn(*job) for job in jobs]``, with the jobs handed out in order to
     forked worker processes, one per CPU this process may run on and at most
-    one per job.  ``fn`` must be a module-level function, and jobs and
-    results must pickle.  A job's exception is raised here; the pool is
-    closed, and its workers joined, before this returns or raises.
+    one per job.  ``fn`` must be a module-level function, and the jobs (tuples
+    of arguments) and results must pickle.  A job's exception is raised here;
+    the pool is closed, and its workers joined, before this returns or raises.
 
     Forked workers start without importing lzlab again, which is what makes
     sub-second jobs worth sending.  Forking a process that runs other
@@ -160,21 +160,12 @@ def parallel_map(fn, jobs: list) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
     if workers <= 1 or threading.active_count() > 1:
-        return [fn(job) for job in jobs]
+        return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _coder_suite(cfg):
-    return [
-        LZ78Coder(),
-        LZWindowCoder(),
-        BlockCoder(int(cfg["block_len"]), LZ78Coder()),
-        MixtureCoder(int(cfg["mixture_kmax"])),
-    ]
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def _spec_list(schedule) -> list[FragmentSpec]:
@@ -203,8 +194,7 @@ def _alpha_trace(cfg: dict, stream: str):
     return construction, trace
 
 
-def _prefix_bits(job) -> list[int]:
-    coder, x, positions = job
+def _prefix_bits(coder, x: str, positions: list[int]) -> list[int]:
     return coder.prefix_bits(x, positions)
 
 
@@ -220,8 +210,9 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     odd_max = parse_rational(cfg["odd_prefix_max"])
     spread_min = parse_rational(cfg["spread_min"])
 
+    curve_ns = list(range(stride, n + 1, stride)) or [n]
     positions = sorted(
-        set(range(stride, n + 1, stride))
+        set(curve_ns)
         | set(odd_ends)
         | {p for seg in segments for p in seg}
         | {n}
@@ -234,7 +225,12 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
         "checks": [],
     }
     curves = {}
-    coders = _coder_suite(cfg)
+    coders = [
+        LZ78Coder(),
+        LZWindowCoder(),
+        BlockCoder(int(cfg["block_len"]), LZ78Coder()),
+        MixtureCoder(int(cfg["mixture_kmax"])),
+    ]
     # the window-LZ and mixture passes take longest: hand them out first
     long_first = sorted(coders, key=lambda coder: not isinstance(coder, (LZWindowCoder, MixtureCoder)))
     bits_of = dict(zip(
@@ -244,18 +240,14 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     for coder in coders:
         bits = bits_of[coder.name]
         at = dict(zip(positions, bits))
-        curve_points = [
-            (m, at[m], F(at[m], m)) for m in range(stride, n + 1, stride)
-        ]
-        if not curve_points:
-            curve_points = [(n, at[n], F(at[n], n))]
+        curve_points = ratio_points(curve_ns, [at[m] for m in curve_ns])
         curves[coder.name] = curve_points
         odd_ratios = {m: F(at[m], m) for m in odd_ends}
         seg_ratios = {
             f"{a}-{b}": F(at[b] - at[a], b - a) for a, b in segments
         }
         ratios = [r for _, _, r in curve_points]
-        spread = max(ratios) - min(ratios) if ratios else F(0)
+        spread = max(ratios) - min(ratios)
         entry = {
             "odd_prefix_ratios": {str(k): float(v) for k, v in odd_ratios.items()},
             "segment_local_ratios": {k: float(v) for k, v in seg_ratios.items()},
@@ -282,29 +274,15 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
                 {"spread": float(spread)},
             ),
         ]
-    sparse_count = sum(1 for f in trace.fragments if f.kind == "sparse" and f.index >= 1)
-    inc_count = sum(1 for f in trace.fragments if f.kind == "incompressible")
     summary["checks"] += [
         _check(f"alpha length >= {cfg['min_length']}", n >= int(cfg["min_length"]), {"length": n}),
         _check(
             "at least 3 sparse and 3 incompressible fragments",
-            sparse_count >= 3 and inc_count >= 3,
-            {"sparse": sparse_count, "incompressible": inc_count},
+            len(odd_ends) >= 3 and len(segments) >= 3,
+            {"sparse": len(odd_ends), "incompressible": len(segments)},
         ),
     ]
     return _finish(summary, "oscillation", {k: curve_csv(p) for k, p in curves.items()}, outdir)
-
-
-def _robustness_report(job):
-    source, n, block_lengths, seed, stride = job
-    return robustness_experiment(
-        source,
-        LZ78Coder(),
-        n,
-        block_lengths,
-        seed=stream_seed(seed, f"robustness:{source.name}"),
-        stride=stride,
-    )
 
 
 def run_robustness(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -315,28 +293,29 @@ def run_robustness(config: dict | None = None, outdir: str | None = None) -> dic
     block_lengths = [int(N) for N in cfg["block_lengths"]]
     flip = flip_chain(parse_rational(cfg["flip_p"]))
     fair = bernoulli(F(1, 2))
-    sources = (flip, fair)
-    reports = {}
+    jobs = [
+        (source, LZ78Coder(), n, block_lengths, stream_seed(seed, f"robustness:{source.name}"), stride)
+        for source in (flip, fair)
+    ]
+    flip_rep, fair_rep = parallel_map(robustness_experiment, jobs)
     summary = {"config": cfg, "sources": {}, "checks": []}
     curves = {}
-    jobs = [(source, n, block_lengths, seed, stride) for source in sources]
-    for source, rep in zip(sources, parallel_map(_robustness_report, jobs)):
-        reports[source.name] = rep
-        for key, curve in rep.curves.items():
-            curves[f"{source.name}_{key}"] = curve.points
+    for source, rep in ((flip, flip_rep), (fair, fair_rep)):
+        for key, points in rep.curves.items():
+            curves[f"{source.name}_{key}"] = points
         summary["sources"][source.name] = {
             "entropy": rep.entropy,
             "final_ratio": float(rep.final_ratio),
             "block_final": {str(N): float(v) for N, v in rep.block_final.items()},
         }
-    H = reports[flip.name].entropy
+    H = flip_rep.entropy
     lo = H - float(parse_rational(cfg["lz_low_slack"]))
     hi = H + float(parse_rational(cfg["lz_high_slack"]))
-    flip_ratio = float(reports[flip.name].final_ratio)
-    rnd = float(reports[fair.name].final_ratio)
+    flip_ratio = float(flip_rep.final_ratio)
+    rnd = float(fair_rep.final_ratio)
     rnd_lo = float(parse_rational(cfg["random_ratio_low"]))
     rnd_hi = float(parse_rational(cfg["random_ratio_high"]))
-    blocks = reports[flip.name].block_final
+    blocks = flip_rep.block_final
     ordered = [blocks[N] for N in sorted(blocks)]
     largest = max(blocks)
     tol = float(parse_rational(cfg["block_tolerance"]))
@@ -373,10 +352,9 @@ def _second_order_source() -> MarkovSource:
     )
 
 
-def _universality_sample(job):
+def _universality_sample(source: MarkovSource, seed: int, coder, n: int, lz_positions: list[int]):
     """One coder's result on one source: the mixture's rate, or LZ78's prefix
     bits, each on a sample from its own seed stream."""
-    source, seed, coder, n, lz_positions = job
     if isinstance(coder, MixtureCoder):
         x = source.sample(stream_seed(seed, f"universality:{source.name}"), n)
         return coder.payload_code_len(x) / n
@@ -390,6 +368,8 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     kmax = int(cfg["mixture_kmax"])
     n_mix = int(cfg["mixture_n"])
     n_lz = int(cfg["lz_n"])
+    if n_mix < 1 or n_lz < 1:
+        raise ValueError(f"mixture_n {n_mix} and lz_n {n_lz} must be at least 1")
     tol = float(parse_rational(cfg["mixture_tolerance"]))
     lo_slack = float(parse_rational(cfg["lz_low_slack"]))
     hi_slack = float(parse_rational(cfg["lz_high_slack"]))
@@ -404,10 +384,9 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     results = parallel_map(_universality_sample, jobs)
     for source, mix_rate, lz_bits in zip(sources, results, results[len(sources):]):
         H = source.entropy_rate()
-        curves[f"{source.name}_lz78"] = [
-            (m, b, F(b, m)) for m, b in zip(lz_positions, lz_bits)
-        ]
-        lz_ratio = float(F(lz_bits[-1], n_lz))
+        lz_points = ratio_points(lz_positions, lz_bits)
+        curves[f"{source.name}_lz78"] = lz_points
+        lz_ratio = float(lz_points[-1][2])
         summary["sources"][source.name] = {
             "entropy": H,
             "mixture_rate": mix_rate,
@@ -426,18 +405,24 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
             ),
             _check(
                 f"{source.name}: lz78 curve stays above H - {lo_slack}",
-                all(F(b, m) >= H - lo_slack for m, b in zip(lz_positions, lz_bits)),
+                all(r >= H - lo_slack for _, _, r in lz_points),
                 {},
             ),
         ]
     return _finish(summary, "universality", {k: curve_csv(p) for k, p in curves.items()}, outdir)
 
 
-def _dhat(job) -> float:
+def _dhat(construction: Construction, mixture: MixtureCoder, word: str) -> float:
     """Surrogate deficiency -log2 P_hat(word) - L(word) of one checkpoint word."""
-    construction, mixture, word = job
     p_hat = probability_estimate(construction, word)
     return -log2_fraction(p_hat) - monotone_length(mixture, word)
+
+
+def _prefixes(word: str, ns: list[int], key: str) -> list[str]:
+    """word[:m] for every checkpoint m, each of which must lie within word."""
+    if not all(0 <= m <= len(word) for m in ns):
+        raise ValueError(f"{key} {ns} do not all lie within the {len(word)}-bit word")
+    return [word[:m] for m in ns]
 
 
 def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dict:
@@ -454,7 +439,8 @@ def run_deficiency(config: dict | None = None, outdir: str | None = None) -> dic
     control_ns = [int(m) for m in cfg["control_checkpoints"]]
     control_rng_seed = stream_seed(seed, "deficiency-control")
     control = bernoulli(F(1, 2)).sample(control_rng_seed, int(cfg["control_n"]))
-    words = [alpha[:m] for m in alpha_ns] + [control[:m] for m in control_ns]
+    words = _prefixes(alpha, alpha_ns, "alpha_checkpoints")
+    words += _prefixes(control, control_ns, "control_checkpoints")
     dhats = parallel_map(_dhat, [(construction, mixture, word) for word in words])
     alpha_points = [
         {"n": m, "dhat": d, "sigma": sigma(m)} for m, d in zip(alpha_ns, dhats)

@@ -23,7 +23,7 @@ that ``encode`` emits, without encoding the prefixes.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -377,12 +377,6 @@ class BlockCoder:
         return [cum[n // N] + 1 + self_delimited_len(n % N) for n in positions]
 
 
-@dataclass
-class RatioCurve:
-    coder: str
-    points: list[tuple[int, int, Fraction]] = field(default_factory=list)
-
-
 def compression_ratio(coder, x: str) -> Fraction:
     """Codeword bits over input symbols (log2 alphabet = 1 for binary)."""
     if not x:
@@ -390,14 +384,14 @@ def compression_ratio(coder, x: str) -> Fraction:
     return Fraction(len(coder.encode(x)), len(x))
 
 
-def ratio_curve(coder, x: str, stride: int) -> RatioCurve:
-    """Ratio of every prefix whose length is a multiple of stride."""
+def ratio_points(ns, bits) -> list[tuple[int, int, Fraction]]:
+    """The (n, bits, bits/n) point of every prefix length n and its code bits."""
+    return [(n, b, Fraction(b, n)) for n, b in zip(ns, bits)]
+
+
+def ratio_curve(coder, x: str, stride: int) -> list[tuple[int, int, Fraction]]:
+    """The ratio points of every prefix whose length is a multiple of stride."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     ns = list(range(stride, len(x) + 1, stride))
-    curve = RatioCurve(coder=getattr(coder, "name", coder.__class__.__name__))
-    if not ns:
-        return curve
-    lens = coder.prefix_bits(x, ns)
-    curve.points = [(n, ln, Fraction(ln, n)) for n, ln in zip(ns, lens)]
-    return curve
+    return ratio_points(ns, coder.prefix_bits(x, ns))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import binary_entropy, cut_points, log2_fraction
+from .lz import BlockCoder, ratio_curve
 
 F = Fraction
 
@@ -154,36 +155,27 @@ def flip_chain(p: Fraction) -> MarkovSource:
 
 @dataclass
 class RobustnessReport:
-    source: str
-    coder: str
-    n: int
     entropy: float
     final_ratio: Fraction
     block_final: dict[int, Fraction]
-    curves: dict
+    curves: dict[str, list]
 
 
 def robustness_experiment(source: MarkovSource, coder, n: int, block_lengths,
                           seed: int = 0, stride: int | None = None) -> RobustnessReport:
-    """Ratio curves of the coder and its block realizations on one sample."""
-    from .lz import BlockCoder, ratio_curve
-
+    """Ratio points of the coder and its block realizations on one sample,
+    every stride symbols (default n // 32)."""
+    if stride is None:
+        stride = max(1, n // 32)
+    if not 1 <= stride <= n:
+        raise ValueError(f"stride {stride} is not in [1, n = {n}]")
     x = source.sample(seed, n)
-    stride = stride or max(1, n // 32)
-    full_curve = ratio_curve(coder, x, stride)
-    block_final = {}
-    curves = {"full": full_curve}
+    curves = {"full": ratio_curve(coder, x, stride)}
     for N in block_lengths:
-        bc = BlockCoder(N, coder)
-        curve = ratio_curve(bc, x, stride)
-        curves[f"block{N}"] = curve
-        block_final[N] = curve.points[-1][2]
+        curves[f"block{N}"] = ratio_curve(BlockCoder(N, coder), x, stride)
     return RobustnessReport(
-        source=source.name,
-        coder=getattr(coder, "name", "coder"),
-        n=n,
         entropy=source.entropy_rate(),
-        final_ratio=full_curve.points[-1][2],
-        block_final=block_final,
+        final_ratio=curves["full"][-1][2],
+        block_final={N: curves[f"block{N}"][-1][2] for N in block_lengths},
         curves=curves,
     )

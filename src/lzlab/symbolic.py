@@ -80,10 +80,6 @@ class SymbolicGadget:
         raise NotImplementedError
 
     # -- moments T(p, q) = sum_D gamma_D^p h_D^q for q = 0, 1, 2
-    def moments(self, p: int) -> tuple[Fraction, Fraction, Fraction]:
-        q, t = self._moments_of(p)
-        return tuple(_fraction(*t[i], q) for i in range(3))
-
     def _moments_of(self, p: int):
         """(Q, {q: (n_q, e_q)}) with T(p, q) = n_q / (Q * 2**e_q), q = 0, 1, 2."""
         got = self._moments.get(p)

@@ -606,7 +606,7 @@ def _ref_stack_moments(a, b):
 
 def reference_moments(node, p, cache=None):
     """T(p, q) = sum_D gamma_D^p h_D^q for q = 0, 1, 2 by the Fraction
-    recursion that ``SymbolicGadget.moments`` must match exactly.  ``cache``
+    recursion that ``SymbolicGadget._moments_of`` must match exactly.  ``cache``
     (a dict) shares results between calls on one tree."""
     if cache is None:
         cache = {}

@@ -20,6 +20,7 @@ from lzlab.experiments import (
     RUNNERS,
     merge_config,
     parallel_map,
+    run_deficiency,
     run_experiment,
     run_robustness,
     run_universality,
@@ -428,7 +429,7 @@ def test_experiment_cli_runs_small_deficiency(tmp_path, capsys):
                 {"kind": "incompressible", "stage": 2},
             ],
             "initial_length": 24,
-            "alpha_checkpoints": [512, 1024],
+            "alpha_checkpoints": [256, 384],
             "control_checkpoints": [1500],
             "control_n": 1500,
         },
@@ -439,6 +440,18 @@ def test_experiment_cli_runs_small_deficiency(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "deficiency" in out
     assert (tmp_path / "res" / "deficiency_summary.json").exists()
+
+
+def test_experiment_cli_rejects_robustness_strides_outside_n(tmp_path):
+    # n below the default stride of 65536, a stride of 0 and one past n are
+    # each a one-line error
+    path = tmp_path / "cfg.json"
+    for cfg in ({"n": 1000}, {"n": 1000, "stride": 0}, {"n": 1000, "stride": 1001}):
+        path.write_text(json.dumps({"experiment": "robustness", **cfg}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", str(path)])
+        message = exc.value.code
+        assert isinstance(message, str) and message.startswith("stride ") and "\n" not in message, cfg
 
 
 def test_source_named_runners_write_outdir(tmp_path):
@@ -494,7 +507,7 @@ SMALL_RUNNER_CONFIGS = {
             {"kind": "incompressible", "stage": 2},
         ],
         "initial_length": 24,
-        "alpha_checkpoints": [256, 512],
+        "alpha_checkpoints": [256, 384],
         "control_checkpoints": [500, 1000],
         "control_n": 1000,
     },
@@ -515,17 +528,18 @@ def _run_on_cpus(monkeypatch, cpus, fn, *args):
 
 
 def test_parallel_map_runs_jobs_in_order_in_workers(monkeypatch):
-    assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, [-3, 1, -2, 5, -4]) == [3, 1, 2, 5, 4]
-    pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [0, 1])
+    jobs = [(-3,), (1,), (-2,), (5,), (-4,)]
+    assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, jobs) == [3, 1, 2, 5, 4]
+    pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [(0,), (1,)])
     assert os.getpid() not in pids
-    assert _run_on_cpus(monkeypatch, {0}, parallel_map, _worker_pid, [0, 1]) == [os.getpid()] * 2
+    assert _run_on_cpus(monkeypatch, {0}, parallel_map, _worker_pid, [(0,), (1,)]) == [os.getpid()] * 2
     assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, []) == []
     # a process running another thread is not forked
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
     try:
-        pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [0, 1])
+        pids = _run_on_cpus(monkeypatch, {0, 1}, parallel_map, _worker_pid, [(0,), (1,)])
     finally:
         release.set()
         waiter.join(30)
@@ -547,10 +561,23 @@ def test_runners_identical_on_one_and_two_cpus(monkeypatch, tmp_path, name):
     assert f"{name}_summary.json" in outputs[0][1]
 
 
+def test_runners_reject_words_too_short_to_measure():
+    # the small deficiency trace has 440 bits and its control word 1000
+    deficiency = SMALL_RUNNER_CONFIGS["deficiency"]
+    with pytest.raises(ValueError, match=r"alpha_checkpoints \[256, 99999\] do not all lie within the 440-bit word"):
+        run_deficiency(dict(deficiency, alpha_checkpoints=[256, 99999]))
+    with pytest.raises(ValueError, match=r"control_checkpoints \[500, 1001\] do not all lie within the 1000-bit word"):
+        run_deficiency(dict(deficiency, control_checkpoints=[500, 1001]))
+    universality = SMALL_RUNNER_CONFIGS["universality"]
+    for key in ("mixture_n", "lz_n"):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run_universality(dict(universality, **{key: 0}))
+
+
 def test_failed_job_raises_as_in_the_serial_path(monkeypatch):
     for cpus in ({0}, {0, 1}):
         with pytest.raises(ValueError):
-            _run_on_cpus(monkeypatch, cpus, parallel_map, int, ["1", "x", "3"])
+            _run_on_cpus(monkeypatch, cpus, parallel_map, int, [("1",), ("x",), ("3",)])
         assert multiprocessing.active_children() == [], cpus
         # a block length of 0 fails inside robustness's per-source job
         with pytest.raises(ValueError):

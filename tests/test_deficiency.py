@@ -189,9 +189,9 @@ def test_deficiency_curve_bounded_on_matched_source():
     src = flip_chain(F(1, 10))
     x = src.sample(3, 8192)
     curve = deficiency_curve(x, src, code=LZ78Coder(), stride=2048)
-    assert len(curve.points) == 4
+    assert len(curve) == 4
     # code redundancy makes the surrogate negative; bounded above by a constant
-    assert all(d <= 64 for _, d in curve.points)
+    assert all(d <= 64 for _, d in curve)
 
 
 def test_deficiency_curve_linear_on_mismatched_source():
@@ -200,7 +200,7 @@ def test_deficiency_curve_linear_on_mismatched_source():
     rng = random.Random(11)
     x = "".join(rng.choice("01") for _ in range(8192))
     curve = deficiency_curve(x, sparse, code=LZ78Coder(), stride=2048)
-    ds = [d for _, d in curve.points]
+    ds = [d for _, d in curve]
     assert ds[-1] > 8192  # far beyond any code constant
     assert all(b > a for a, b in zip(ds, ds[1:]))
 

@@ -139,8 +139,7 @@ def test_lz78_all_zeros_ratio_2_16():
 
 
 def test_lz78_ratio_decreasing_on_zeros():
-    curve = ratio_curve(LZ78Coder(), "0" * 4096, 512)
-    rs = [r for _, _, r in curve.points]
+    rs = [r for _, _, r in ratio_curve(LZ78Coder(), "0" * 4096, 512)]
     assert all(a > b for a, b in zip(rs, rs[1:]))
 
 
