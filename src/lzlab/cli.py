@@ -19,7 +19,7 @@ from .bitio import read_bits_file, write_bits_file
 from .construction import Construction, ConstructionParams, StageFailure, build_alpha, heights_schedule
 from .deficiency import deficiency_curve
 from .ktmix import MixtureCoder
-from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_curve
+from .lz import BlockCoder, LZ78Coder, LZWindowCoder, checkpoints, ratio_curve
 from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 from .symbolic import gadget_to_json, well_distributedness_mfold
 from . import experiments
@@ -116,12 +116,9 @@ def cmd_ratio_curve(args):
 
 
 def cmd_mixture(args):
-    if args.stride < 0:
-        raise SystemExit(f"--stride {args.stride} is negative")
     word = read_bits_file(args.infile)
     coder = MixtureCoder(args.kmax)
-    stride = args.stride or max(1, len(word) // 32)
-    positions = list(range(stride, len(word) + 1, stride))
+    positions = checkpoints(len(word), args.stride or max(1, len(word) // 32))
     neg_log: list[float] = []  # ideal cost of each prefix under the quantized predictor
     bits = coder.prefix_bits(word, positions, neg_log)
     text = experiments.csv_text(
@@ -230,14 +227,13 @@ def cmd_source(args):
         write_bits_file(args.out, word)
         print(f"{source.name}: wrote {args.len} symbols")
     elif args.action == "robustness":
-        coder = LZ78Coder()
-        report = robustness_experiment(
-            source, coder, args.len, [int(v) for v in args.blocks.split(",")], seed=args.seed
+        full, block_curves = robustness_experiment(
+            source, LZ78Coder(), args.len, [int(v) for v in args.blocks.split(",")], seed=args.seed
         )
-        print(f"{source.name}: H = {report.entropy:.6f}")
-        print(f"full-sequence final ratio: {float(report.final_ratio):.6f}")
-        for N, v in sorted(report.block_final.items()):
-            print(f"block N={N}: final ratio {float(v):.6f}")
+        print(f"{source.name}: H = {source.entropy_rate():.6f}")
+        print(f"full-sequence final ratio: {float(full[-1][2]):.6f}")
+        for N, points in sorted(block_curves.items()):
+            print(f"block N={N}: final ratio {float(points[-1][2]):.6f}")
 
 
 def cmd_experiment(args):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ._util import log2_fraction
 from .bitio import decode_int
-from .lz import LZ78Coder
+from .lz import LZ78Coder, checkpoints
 
 F = Fraction
 
@@ -53,10 +53,8 @@ def surrogate_deficiency(x: str, measure, code=None) -> float:
 
 
 def deficiency_curve(omega: str, measure, code=None, stride: int = 1024) -> list[tuple[int, float]]:
-    """(n, surrogate deficiency) of the prefixes at multiples of stride."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    """(n, surrogate deficiency) of omega's prefixes at checkpoints(len(omega), stride)."""
     return [
         (n, surrogate_deficiency(omega[:n], measure, code=code))
-        for n in range(stride, len(omega) + 1, stride)
+        for n in checkpoints(len(omega), stride)
     ]

@@ -25,7 +25,7 @@ from ._util import log2_fraction, parse_rational, stream_seed, write_atomic, wri
 from .construction import Construction, ConstructionParams, FragmentSpec, build_alpha
 from .deficiency import monotone_length, probability_estimate
 from .ktmix import MixtureCoder
-from .lz import BlockCoder, LZ78Coder, LZWindowCoder, ratio_points
+from .lz import BlockCoder, LZ78Coder, LZWindowCoder, checkpoints, ratio_points
 from .sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 
 F = Fraction
@@ -210,7 +210,7 @@ def run_oscillation(config: dict | None = None, outdir: str | None = None) -> di
     odd_max = parse_rational(cfg["odd_prefix_max"])
     spread_min = parse_rational(cfg["spread_min"])
 
-    curve_ns = list(range(stride, n + 1, stride)) or [n]
+    curve_ns = checkpoints(n, stride)
     positions = sorted(
         set(curve_ns)
         | set(odd_ends)
@@ -291,31 +291,35 @@ def run_robustness(config: dict | None = None, outdir: str | None = None) -> dic
     seed = int(cfg["seed"])
     stride = int(cfg["stride"])
     block_lengths = [int(N) for N in cfg["block_lengths"]]
+    if not block_lengths:
+        raise ValueError("block_lengths is empty")
     flip = flip_chain(parse_rational(cfg["flip_p"]))
     fair = bernoulli(F(1, 2))
     jobs = [
         (source, LZ78Coder(), n, block_lengths, stream_seed(seed, f"robustness:{source.name}"), stride)
         for source in (flip, fair)
     ]
-    flip_rep, fair_rep = parallel_map(robustness_experiment, jobs)
+    results = parallel_map(robustness_experiment, jobs)
     summary = {"config": cfg, "sources": {}, "checks": []}
     curves = {}
-    for source, rep in ((flip, flip_rep), (fair, fair_rep)):
-        for key, points in rep.curves.items():
-            curves[f"{source.name}_{key}"] = points
+    for source, (full, block_curves) in zip((flip, fair), results):
+        curves[f"{source.name}_full"] = full
+        for N, points in block_curves.items():
+            curves[f"{source.name}_block{N}"] = points
         summary["sources"][source.name] = {
-            "entropy": rep.entropy,
-            "final_ratio": float(rep.final_ratio),
-            "block_final": {str(N): float(v) for N, v in rep.block_final.items()},
+            "entropy": source.entropy_rate(),
+            "final_ratio": float(full[-1][2]),
+            "block_final": {str(N): float(points[-1][2]) for N, points in block_curves.items()},
         }
-    H = flip_rep.entropy
+    (flip_full, flip_blocks), (fair_full, _) = results
+    H = flip.entropy_rate()
     lo = H - float(parse_rational(cfg["lz_low_slack"]))
     hi = H + float(parse_rational(cfg["lz_high_slack"]))
-    flip_ratio = float(flip_rep.final_ratio)
-    rnd = float(fair_rep.final_ratio)
+    flip_ratio = float(flip_full[-1][2])
+    rnd = float(fair_full[-1][2])
     rnd_lo = float(parse_rational(cfg["random_ratio_low"]))
     rnd_hi = float(parse_rational(cfg["random_ratio_high"]))
-    blocks = flip_rep.block_final
+    blocks = {N: points[-1][2] for N, points in flip_blocks.items()}
     ordered = [blocks[N] for N in sorted(blocks)]
     largest = max(blocks)
     tol = float(parse_rational(cfg["block_tolerance"]))
@@ -368,15 +372,15 @@ def run_universality(config: dict | None = None, outdir: str | None = None) -> d
     kmax = int(cfg["mixture_kmax"])
     n_mix = int(cfg["mixture_n"])
     n_lz = int(cfg["lz_n"])
-    if n_mix < 1 or n_lz < 1:
-        raise ValueError(f"mixture_n {n_mix} and lz_n {n_lz} must be at least 1")
+    if n_mix < 1:
+        raise ValueError(f"mixture_n {n_mix} must be at least 1")
     tol = float(parse_rational(cfg["mixture_tolerance"]))
     lo_slack = float(parse_rational(cfg["lz_low_slack"]))
     hi_slack = float(parse_rational(cfg["lz_high_slack"]))
     stride = int(cfg["stride"])
     summary = {"config": cfg, "sources": {}, "checks": []}
     curves = {}
-    lz_positions = sorted(set(range(stride, n_lz + 1, stride)) | {n_lz})
+    lz_positions = sorted({*checkpoints(n_lz, stride), n_lz})
     sources = (bernoulli(F(1, 5)), flip_chain(F(1, 10)), _second_order_source())
     # one job per (source, coder), the longer mixture jobs first
     jobs = [(source, seed, MixtureCoder(kmax), n_mix, ()) for source in sources]
@@ -419,7 +423,9 @@ def _dhat(construction: Construction, mixture: MixtureCoder, word: str) -> float
 
 
 def _prefixes(word: str, ns: list[int], key: str) -> list[str]:
-    """word[:m] for every checkpoint m, each of which must lie within word."""
+    """word[:m] for every checkpoint m: at least one, each within word."""
+    if not ns:
+        raise ValueError(f"{key} is empty")
     if not all(0 <= m <= len(word) for m in ns):
         raise ValueError(f"{key} {ns} do not all lie within the {len(word)}-bit word")
     return [word[:m] for m in ns]

@@ -18,6 +18,10 @@ Every codeword is self-delimiting, so concatenated codewords decode
 unambiguously (the separating property).  Each coder's ``prefix_bits``
 derives the codeword length of every prefix from the same per-phrase rule
 that ``encode`` emits, without encoding the prefixes.
+
+A curve is measured at ``checkpoints(n, stride)``, every multiple of stride
+up to n; a stride outside 1..n, which leaves no such point, is rejected.
+This is the only place a stride becomes measurement points.
 """
 
 from __future__ import annotations
@@ -389,9 +393,14 @@ def ratio_points(ns, bits) -> list[tuple[int, int, Fraction]]:
     return [(n, b, Fraction(b, n)) for n, b in zip(ns, bits)]
 
 
+def checkpoints(n: int, stride: int) -> list[int]:
+    """Every multiple of stride up to n; a stride outside 1..n is rejected."""
+    if not 1 <= stride <= n:
+        raise ValueError(f"stride {stride} is not in [1, n = {n}]")
+    return list(range(stride, n + 1, stride))
+
+
 def ratio_curve(coder, x: str, stride: int) -> list[tuple[int, int, Fraction]]:
-    """The ratio points of every prefix whose length is a multiple of stride."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    ns = list(range(stride, len(x) + 1, stride))
+    """The ratio points of x's prefixes at checkpoints(len(x), stride)."""
+    ns = checkpoints(len(x), stride)
     return ratio_points(ns, coder.prefix_bits(x, ns))

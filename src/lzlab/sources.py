@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import binary_entropy, cut_points, log2_fraction
-from .lz import BlockCoder, ratio_curve
+from .lz import BlockCoder, checkpoints, ratio_points
 
 F = Fraction
 
@@ -153,29 +152,12 @@ def flip_chain(p: Fraction) -> MarkovSource:
     return MarkovSource(1, {"0": p, "1": 1 - p}, name=f"flip({p})")
 
 
-@dataclass
-class RobustnessReport:
-    entropy: float
-    final_ratio: Fraction
-    block_final: dict[int, Fraction]
-    curves: dict[str, list]
-
-
 def robustness_experiment(source: MarkovSource, coder, n: int, block_lengths,
-                          seed: int = 0, stride: int | None = None) -> RobustnessReport:
-    """Ratio points of the coder and its block realizations on one sample,
-    every stride symbols (default n // 32)."""
-    if stride is None:
-        stride = max(1, n // 32)
-    if not 1 <= stride <= n:
-        raise ValueError(f"stride {stride} is not in [1, n = {n}]")
+                          seed: int = 0, stride: int | None = None) -> tuple[list, dict[int, list]]:
+    """(full curve, {N: block curve}): the ratio points of the coder and of
+    its block realization for each block length N on one n-symbol sample,
+    at checkpoints(n, stride) (default stride n // 32) and at n."""
+    ns = sorted({*checkpoints(n, max(1, n // 32) if stride is None else stride), n})
     x = source.sample(seed, n)
-    curves = {"full": ratio_curve(coder, x, stride)}
-    for N in block_lengths:
-        curves[f"block{N}"] = ratio_curve(BlockCoder(N, coder), x, stride)
-    return RobustnessReport(
-        entropy=source.entropy_rate(),
-        final_ratio=curves["full"][-1][2],
-        block_final={N: curves[f"block{N}"][-1][2] for N in block_lengths},
-        curves=curves,
-    )
+    curve = lambda c: ratio_points(ns, c.prefix_bits(x, ns))
+    return curve(coder), {N: curve(BlockCoder(N, coder)) for N in block_lengths}

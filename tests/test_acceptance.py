@@ -245,8 +245,10 @@ def test_criterion_7_block_rule_rejects_verbatim():
     Verbatim blocks cost N + 64 bits, so the gap tends to 1 - H and
     gap(N) * log2 N grows again at the top of the ladder.
     """
-    rep = robustness_experiment(flip_chain(F(1, 10)), VerbatimCoder(), 1 << 16, [64, 1024, 16384])
-    above, falling, scaled = block_convergence(rep.entropy, rep.block_final)
+    source = flip_chain(F(1, 10))
+    _, block_curves = robustness_experiment(source, VerbatimCoder(), 1 << 16, [64, 1024, 16384])
+    block_final = {N: points[-1][2] for N, points in block_curves.items()}
+    above, falling, scaled = block_convergence(source.entropy_rate(), block_final)
     assert above, scaled
     assert not falling, scaled
 

@@ -25,8 +25,9 @@ from lzlab.experiments import (
     run_robustness,
     run_universality,
 )
-from lzlab.lz import LZ78Coder
-from lzlab.sources import flip_chain, robustness_experiment
+from lzlab.deficiency import deficiency_curve
+from lzlab.lz import LZ78Coder, ratio_curve
+from lzlab.sources import MarkovSource, bernoulli, flip_chain, robustness_experiment
 
 # the ratio-curve file of test_ratio_curve_csv_schema, byte for byte
 RATIO_CURVE_CSV_SHA256 = "5657af3e7e3ae23b99b80ddff04a0aef8fce0e9cd282c9b893a3f40b89e20f03"
@@ -323,13 +324,21 @@ def test_rejected_input_is_a_one_line_error(tmp_path, capsys):
         (["theorem1", "sample", "--h0", "16", "--folds", "4,4,4", "--len", "-5", "--out", out], "--len -5 is below 1"),
         (["source", "sample", "--source", "flip:1/10", "--len", "-5", "--out", out], "--len -5 is below 1"),
         (["source", "robustness", "--source", "flip:1/10", "--len", "0"], "--len 0 is below 1"),
-        (["mixture", "--in", str(seven), "--stride", "-3", "--csv", out], "--stride -3 is negative"),
-        (["deficiency", "--measure", "bernoulli:1/2", "--in", str(seven), "--stride", "0", "--csv", out],
-         "stride must be >= 1"),
-        (["deficiency", "--measure", "bernoulli:1/2", "--in", str(seven), "--stride", "-5", "--csv", out],
-         "stride must be >= 1"),
         (["encode", "--coder", "lz78", "--in", str(tmp_path / "missing.bits"), "--out", out],
          f"[Errno 2] No such file or directory: {str(tmp_path / 'missing.bits')!r}"),
+    ]
+    # a stride outside 1 to the word's length; mixture's --stride 0 means
+    # n // 32, which is 1 here
+    verbs = {
+        "ratio-curve": ["ratio-curve", "--coder", "lz78"],
+        "mixture": ["mixture"],
+        "deficiency": ["deficiency", "--measure", "bernoulli:1/2"],
+    }
+    cases += [
+        ([*argv, "--in", str(seven), "--stride", str(stride), "--csv", out], f"stride {stride} is not in [1, n = 7]")
+        for verb, argv in verbs.items()
+        for stride in (0, -5, 8)
+        if (verb, stride) != ("mixture", 0)
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -379,12 +388,25 @@ def test_source_robustness_cli_prints_the_experiment(capsys):
     main(["source", "robustness", "--source", "flip:1/10", "--seed", "3", "--len", "2048",
           "--blocks", "64,256"])
     lines = capsys.readouterr().out.splitlines()
-    rep = robustness_experiment(flip_chain(Fraction(1, 10)), LZ78Coder(), 2048, [64, 256], seed=3)
+    source = flip_chain(Fraction(1, 10))
+    full, block_curves = robustness_experiment(source, LZ78Coder(), 2048, [64, 256], seed=3)
     assert lines == [
-        f"flip(1/10): H = {rep.entropy:.6f}",
-        f"full-sequence final ratio: {float(rep.final_ratio):.6f}",
-        f"block N=64: final ratio {float(rep.block_final[64]):.6f}",
-        f"block N=256: final ratio {float(rep.block_final[256]):.6f}",
+        f"flip(1/10): H = {source.entropy_rate():.6f}",
+        f"full-sequence final ratio: {float(full[-1][2]):.6f}",
+        f"block N=64: final ratio {float(block_curves[64][-1][2]):.6f}",
+        f"block N=256: final ratio {float(block_curves[256][-1][2]):.6f}",
+    ]
+
+
+def test_source_robustness_cli_reports_the_whole_word(capsys):
+    # the default stride 1000 // 32 = 31 does not divide 1000: the curves
+    # still end at n, so the final ratios are those of all 1000 bits
+    main(["source", "robustness", "--source", "flip:1/10", "--seed", "3", "--len", "1000",
+          "--blocks", "64,256"])
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "full-sequence final ratio: 0.793000",
+        "block N=64: final ratio 1.325000",
+        "block N=256: final ratio 1.025000",
     ]
 
 
@@ -443,15 +465,33 @@ def test_experiment_cli_runs_small_deficiency(tmp_path, capsys):
 
 
 def test_experiment_cli_rejects_robustness_strides_outside_n(tmp_path):
-    # n below the default stride of 65536, a stride of 0 and one past n are
-    # each a one-line error
+    # every entry point that turns a stride into points rejects a stride of
+    # 0, one below 0 and one past n with a one-line error, as does robustness
+    # at n below its default stride of 65536; the small oscillation trace
+    # has 1976 bits
+    def one_line(message):
+        return isinstance(message, str) and message.startswith("stride ") and "\n" not in message
+
     path = tmp_path / "cfg.json"
-    for cfg in ({"n": 1000}, {"n": 1000, "stride": 0}, {"n": 1000, "stride": 1001}):
-        path.write_text(json.dumps({"experiment": "robustness", **cfg}))
+    configs = [("robustness", {"n": 1000})]
+    for name, n, cfg in (
+        ("oscillation", 1976, SMALL_RUNNER_CONFIGS["oscillation"]),
+        ("universality", 2048, SMALL_RUNNER_CONFIGS["universality"]),
+        ("robustness", 1000, {"n": 1000}),
+    ):
+        configs += [(name, dict(cfg, stride=stride)) for stride in (0, -5, n + 1)]
+    for name, cfg in configs:
+        path.write_text(json.dumps({"experiment": name, **cfg}))
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "run", str(path)])
-        message = exc.value.code
-        assert isinstance(message, str) and message.startswith("stride ") and "\n" not in message, cfg
+        assert one_line(exc.value.code), (name, cfg)
+    word = "0110101"
+    for stride in (0, -5, 8):
+        for curve in (lambda: ratio_curve(LZ78Coder(), word, stride),
+                      lambda: deficiency_curve(word, bernoulli(Fraction(1, 2)), stride=stride)):
+            with pytest.raises(ValueError) as exc:
+                curve()
+            assert one_line(str(exc.value)), stride
 
 
 def test_source_named_runners_write_outdir(tmp_path):
@@ -561,7 +601,7 @@ def test_runners_identical_on_one_and_two_cpus(monkeypatch, tmp_path, name):
     assert f"{name}_summary.json" in outputs[0][1]
 
 
-def test_runners_reject_words_too_short_to_measure():
+def test_runners_reject_words_too_short_to_measure(monkeypatch):
     # the small deficiency trace has 440 bits and its control word 1000
     deficiency = SMALL_RUNNER_CONFIGS["deficiency"]
     with pytest.raises(ValueError, match=r"alpha_checkpoints \[256, 99999\] do not all lie within the 440-bit word"):
@@ -569,9 +609,18 @@ def test_runners_reject_words_too_short_to_measure():
     with pytest.raises(ValueError, match=r"control_checkpoints \[500, 1001\] do not all lie within the 1000-bit word"):
         run_deficiency(dict(deficiency, control_checkpoints=[500, 1001]))
     universality = SMALL_RUNNER_CONFIGS["universality"]
-    for key in ("mixture_n", "lz_n"):
-        with pytest.raises(ValueError, match="must be at least 1"):
-            run_universality(dict(universality, **{key: 0}))
+    with pytest.raises(ValueError, match="mixture_n 0 must be at least 1"):
+        run_universality(dict(universality, mixture_n=0))
+    with pytest.raises(ValueError, match=r"stride 1024 is not in \[1, n = 0\]"):
+        run_universality(dict(universality, lz_n=0))
+    # an empty list of points measures nothing; robustness says so before
+    # it samples
+    for key in ("alpha_checkpoints", "control_checkpoints"):
+        with pytest.raises(ValueError, match=f"^{key} is empty$"):
+            run_deficiency(dict(deficiency, **{key: []}))
+    monkeypatch.setattr(MarkovSource, "sample", None)
+    with pytest.raises(ValueError, match="^block_lengths is empty$"):
+        run_robustness(dict(SMALL_RUNNER_CONFIGS["robustness"], block_lengths=[]))
 
 
 def test_failed_job_raises_as_in_the_serial_path(monkeypatch):

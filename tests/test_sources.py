@@ -170,7 +170,7 @@ def test_robustness_experiment_smoke():
     from lzlab.lz import LZ78Coder
 
     src = flip_chain(F(1, 10))
-    report = robustness_experiment(src, LZ78Coder(), 1 << 14, [64, 256], seed=1)
-    assert report.entropy == pytest.approx(binary_entropy(F(1, 10)), abs=1e-12)
-    assert set(report.block_final) == {64, 256}
-    assert 0 < report.final_ratio < 2
+    full, block_curves = robustness_experiment(src, LZ78Coder(), 1 << 14, [64, 256], seed=1)
+    assert src.entropy_rate() == pytest.approx(binary_entropy(F(1, 10)), abs=1e-12)
+    assert set(block_curves) == {64, 256}
+    assert 0 < full[-1][2] < 2
