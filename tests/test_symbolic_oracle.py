@@ -198,6 +198,15 @@ def test_classes_and_moments_equal_explicit(drawn):
         assert list(_moments(node, p)) == want
 
 
+@settings(max_examples=150)
+@given(tree_specs())
+def test_aggregates_equal_explicit(drawn):
+    node = build(drawn[0])
+    explicit = materialize(node)
+    assert node.ncols == len(explicit.columns)
+    assert node.max_gamma == max(c.width for c in explicit.columns) / explicit.width
+
+
 @settings(max_examples=100)
 @given(tree_specs(), st.integers(1, 3))
 def test_wd_mfold_equals_explicit(drawn, M):
