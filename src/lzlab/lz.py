@@ -382,10 +382,12 @@ class BlockCoder:
 
 
 def compression_ratio(coder, x: str) -> Fraction:
-    """Codeword bits over input symbols (log2 alphabet = 1 for binary)."""
+    """Codeword bits over input symbols (log2 alphabet = 1 for binary).
+    The length is the coder's ``prefix_bits`` at len(x), which equals
+    len(coder.encode(x)) without building the codeword."""
     if not x:
         raise ValueError("compression ratio undefined for empty input")
-    return Fraction(len(coder.encode(x)), len(x))
+    return Fraction(coder.prefix_bits(x, [len(x)])[0], len(x))
 
 
 def ratio_points(ns, bits) -> list[tuple[int, int, Fraction]]:

@@ -5,7 +5,11 @@ columns, so realistic constructions are never materialized.  A symbolic
 gadget is a composition tree over explicit base gadgets with nodes
 cut / stack / m-fold / union; queries (name measures, well-distributedness,
 sampling) run by dynamic programming over the tree and return the same
-exact rationals the explicit operations would.
+exact rationals the explicit operations would.  Building a node computes
+only its width, support and heights; the column count (read when a dump
+prints it) and the widest column's share (read by the closed form of
+well-distributedness) are computed from the children on first use, since
+at late stages they are numbers of hundreds of thousands of bits.
 
 Name-measure DP: for a query word x of length m, each node carries
   occ      expected occurrences of x inside one column name (width-weighted)
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from ._util import cut_points, format_rational
@@ -55,7 +59,9 @@ class InfeasibleExact(GadgetError):
 
 
 class SymbolicGadget:
-    """Common node interface; concrete nodes fill the aggregate fields."""
+    """Common node interface; concrete nodes fill the aggregate fields and
+    define ``ncols`` (column count) and ``max_gamma`` (widest column's share
+    of the width) as cached properties, read from the children on first use."""
 
     kind = "abstract"
 
@@ -64,8 +70,6 @@ class SymbolicGadget:
         self.support: Fraction = Fraction(0)
         self.min_height: int = 0
         self.max_height: int = 0
-        self.ncols: int = 0
-        self.max_gamma: Fraction = Fraction(0)
         self.uniform_height: int | None = None
         self._classes = -1  # lazy; -1 = not computed, None = over cap
         self._moments: dict[int, tuple[int, dict]] = {}
@@ -105,10 +109,16 @@ class BaseNode(SymbolicGadget):
         self.support = gadget.support_measure
         self.min_height = gadget.min_height
         self.max_height = gadget.max_height
-        self.ncols = len(gadget.columns)
-        self.max_gamma = max(c.width / self.width for c in gadget.columns)
         self.uniform_height = self._detect_uniform()
         self._cuts = None
+
+    @cached_property
+    def ncols(self) -> int:
+        return len(self.gadget.columns)
+
+    @cached_property
+    def max_gamma(self) -> Fraction:
+        return max(c.width / self.width for c in self.gadget.columns)
 
     def _detect_uniform(self):
         cols = self.gadget.columns
@@ -155,9 +165,15 @@ class CutNode(SymbolicGadget):
         self.support = child.support * share
         self.min_height = child.min_height
         self.max_height = child.max_height
-        self.ncols = child.ncols
-        self.max_gamma = child.max_gamma
         self.uniform_height = child.uniform_height
+
+    @cached_property
+    def ncols(self) -> int:
+        return self.child.ncols
+
+    @cached_property
+    def max_gamma(self) -> Fraction:
+        return self.child.max_gamma
 
     def _compute_classes(self):
         return self.child.classes()
@@ -186,11 +202,17 @@ class UnionNode(SymbolicGadget):
         self.support = sum((c.support for c in children), Fraction(0))
         self.min_height = min(c.min_height for c in children)
         self.max_height = max(c.max_height for c in children)
-        self.ncols = sum(c.ncols for c in children)
-        self.max_gamma = max(c.max_gamma * c.width / self.width for c in children)
         if len(children) == 1:
             self.uniform_height = children[0].uniform_height
         self._cuts = None
+
+    @cached_property
+    def ncols(self) -> int:
+        return sum(c.ncols for c in self.children)
+
+    @cached_property
+    def max_gamma(self) -> Fraction:
+        return max(c.max_gamma * c.width / self.width for c in self.children)
 
     def _compute_classes(self):
         subs = [c.classes() for c in self.children]
@@ -223,8 +245,14 @@ class StackNode(SymbolicGadget):
         self.support = lower.support + upper.support
         self.min_height = lower.min_height + upper.min_height
         self.max_height = lower.max_height + upper.max_height
-        self.ncols = lower.ncols * upper.ncols
-        self.max_gamma = lower.max_gamma * upper.max_gamma
+
+    @cached_property
+    def ncols(self) -> int:
+        return self.lower.ncols * self.upper.ncols
+
+    @cached_property
+    def max_gamma(self) -> Fraction:
+        return self.lower.max_gamma * self.upper.max_gamma
 
     def _compute_classes(self):
         return _stack_classes(self.lower.classes(), self.upper.classes())
@@ -251,10 +279,16 @@ class MFoldNode(SymbolicGadget):
         self.support = child.support
         self.min_height = child.min_height * m
         self.max_height = child.max_height * m
-        self.ncols = child.ncols**m
-        self.max_gamma = child.max_gamma**m
         if child.uniform_height is not None:
             self.uniform_height = child.uniform_height * m
+
+    @cached_property
+    def ncols(self) -> int:
+        return self.child.ncols**self.m
+
+    @cached_property
+    def max_gamma(self) -> Fraction:
+        return self.child.max_gamma**self.m
 
     def _compute_classes(self):
         """A class of the m-fold is a multiset of m child classes, so a

@@ -161,6 +161,32 @@ def test_building_computes_no_well_distributedness(monkeypatch):
     assert trace.bits
 
 
+def _tree_nodes(root):
+    """Every node of a composition tree, shared nodes once."""
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo += [getattr(node, a) for a in ("child", "lower", "upper") if hasattr(node, a)]
+            todo += getattr(node, "children", [])
+    return seen.values()
+
+
+def test_building_computes_no_aggregate():
+    # the codec benchmark's stages 1-9, and the runners benchmark's oscillation trace
+    schedule = tuple(OSCILLATION_DEFAULTS["fold_schedule"])
+    codec = Construction(ConstructionParams(r=F(1, 256), h0=64, fold_schedule=schedule))
+    codec.stage(9)
+    cfg = merge_config(OSCILLATION_DEFAULTS, {"h0": 16, "initial_length": 24, "min_length": 1 << 17})
+    runners, trace = _alpha_trace(cfg, "alpha")
+    assert trace.bits
+    for c in (codec, runners):
+        for st in c.stages:
+            for node in _tree_nodes(st.phi):
+                assert "ncols" not in vars(node) and "max_gamma" not in vars(node)
+
+
 @pytest.fixture(scope="module")
 def early_stage_gadgets():
     """pi_0, then the fold base and pi of stages 1 and 2, materialized."""

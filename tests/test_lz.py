@@ -419,6 +419,27 @@ def test_ratio_hand_example():
     assert compression_ratio(LZ78Coder(), x) == Fraction(30, 13)
 
 
+@pytest.fixture(scope="module")
+def ratio_words():
+    """The codec benchmark's three kinds of input at 2^13 bits, and one bit."""
+    n = 1 << 13
+    return [flip_chain(Fraction(1, 10)).sample(5, n), bernoulli(Fraction(1, 2)).sample(5, n),
+            alpha_prefix(n), "1"]
+
+
+@pytest.mark.parametrize(
+    "coder",
+    [LZ78Coder(), LZWindowCoder(), LZWindowCoder(window=4096), BlockCoder(4096, LZ78Coder()),
+     MixtureCoder(4), VerbatimCoder()],
+    ids=["lz78", "lzwin", "lzwin4096", "block4096-lz78", "mixture4", "verbatim"],
+)
+def test_compression_ratio_is_encoded_length(coder, ratio_words):
+    for x in ratio_words:
+        assert compression_ratio(coder, x) == Fraction(len(coder.encode(x)), len(x))
+    with pytest.raises(ValueError):
+        compression_ratio(coder, "")
+
+
 @pytest.mark.parametrize(
     "coder",
     [
