@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -355,6 +357,39 @@ def test_builder_rejects_short_fragments():
     with pytest.raises(StageFailure):
         # one tiny sparse fragment cannot reach stage 2's height
         build_alpha(c, [FragmentSpec("sparse", 2, parts=1)], initial_length=1)
+
+
+# the sparse-only trace of test_sparse_fallback_pinned, bits and to_json()
+SPARSE_FALLBACK_BITS_SHA256 = "415f08b2668b2f077a413d7baba5d132abd35efd646aafb0e1d17be5838fab6c"
+SPARSE_FALLBACK_TRACE_SHA256 = "f384c74bb722bf1f8bff36afaaaa41e6c490b8b88cee89d9b5578b516c7f408d"
+
+
+def _alpha_construction():
+    return Construction(ConstructionParams(r=F(1, 256), h0=16, fold_schedule=(4, 4, 4, 4, 2, 2)))
+
+
+def test_sparse_fallback_pinned(monkeypatch):
+    # with no draws allowed, every sparse part is the all-main-branch column
+    monkeypatch.setattr(construction, "FREQ_RETRIES", 0)
+    sched = [FragmentSpec("sparse", 1, parts=8), FragmentSpec("sparse", 3, parts=3), FragmentSpec("sparse", 4, parts=2)]
+    trace = build_alpha(_alpha_construction(), sched, initial_length=24, seed=5)
+    assert "1" not in trace.bits
+    assert [(f.start, f.end) for f in trace.fragments] == [(0, 24), (24, 280), (280, 2040), (2040, 6136)]
+    assert hashlib.sha256(trace.bits.encode()).hexdigest() == SPARSE_FALLBACK_BITS_SHA256
+    text = json.dumps(trace.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SPARSE_FALLBACK_TRACE_SHA256
+
+
+def test_builder_rejects_bad_schedules(monkeypatch):
+    c = _alpha_construction()
+    for length in (0, 2 * 16 + 1):
+        with pytest.raises(ValueError, match="^initial fragment must fit one stage-0 column$"):
+            build_alpha(c, [], initial_length=length)
+    with pytest.raises(ValueError, match="^unknown fragment kind dense$"):
+        build_alpha(c, [FragmentSpec("sparse", 1, parts=8), FragmentSpec("dense", 2)], initial_length=24)
+    monkeypatch.setattr(construction, "INCOMPRESSIBILITY_THRESHOLD", F(100))
+    with pytest.raises(StageFailure, match="^could not draw an incompressible block$"):
+        build_alpha(c, [FragmentSpec("sparse", 1, parts=8), FragmentSpec("incompressible", 2)], initial_length=24)
 
 
 def test_fold_schedule_exhaustion_raises():
