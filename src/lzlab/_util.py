@@ -19,6 +19,8 @@ def parse_rational(text) -> Fraction:
     s = str(text).strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

@@ -16,7 +16,8 @@ import sys
 
 from ._util import format_rational, parse_rational, write_atomic, write_json_atomic
 from .bitio import read_bits_file, write_bits_file
-from .construction import Construction, ConstructionParams, StageFailure, build_alpha, heights_schedule
+from .construction import (Construction, ConstructionParams, StageFailure, build_alpha, fragment_specs,
+                           heights_schedule)
 from .deficiency import deficiency_curve
 from .ktmix import MixtureCoder
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, checkpoints, ratio_curve
@@ -43,8 +44,11 @@ def _make_source(spec: str):
     if spec.startswith("flip:"):
         return flip_chain(parse_rational(spec.split(":", 1)[1]))
     if spec.startswith("markov:"):
-        with open(spec.split(":", 1)[1]) as fh:
+        path = spec.split(":", 1)[1]
+        with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not isinstance(data.get("rows"), dict) or "order" not in data:
+            raise ValueError(f"{path}: a Markov spec is a JSON object with 'order' and a 'rows' object")
         rows = {ctx: parse_rational(v) for ctx, v in data["rows"].items()}
         return MarkovSource(int(data["order"]), rows)
     raise SystemExit(f"unknown source spec {spec!r}")
@@ -65,7 +69,10 @@ def _sigma_from_spec(spec):
     if spec in (None, "id"):
         return lambda n: n
     with open(spec) as fh:
-        return json.load(fh)
+        table = json.load(fh)
+    if not isinstance(table, list):
+        raise ValueError(f"{spec}: a sigma table is a JSON list of integers")
+    return table
 
 
 def _write_csv(path: str | None, text: str, checkpoints: int) -> None:
@@ -186,7 +193,7 @@ def cmd_theorem1(args):
             )
     elif args.action == "alpha":
         c = _construction_from_args(args)
-        schedule = experiments._spec_list(json.loads(args.schedule))
+        schedule = fragment_specs(json.loads(args.schedule))
         trace = build_alpha(c, schedule, initial_length=args.initial, seed=args.seed)
         write_bits_file(args.out, trace.bits)
         if args.trace:

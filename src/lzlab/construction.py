@@ -329,8 +329,7 @@ def sample_sparse_column(node: SymbolicGadget) -> str:
         # the stages build every union with the main gadget first
         return sample_sparse_column(node.children[0])
     if isinstance(node, BaseNode):
-        best = min(node.gadget.columns, key=lambda c: c.name.count("1"))
-        return best.name
+        return min(node.gadget.columns, key=lambda c: c.name.count("1")).name
     raise ValueError(f"cannot walk node kind {node.kind}")
 
 
@@ -374,151 +373,26 @@ class FragmentSpec:
     parts: int = 1  # sparse: number of parts to emit at that stage
 
 
+def fragment_specs(schedule) -> list[FragmentSpec]:
+    """Fragment specs from a JSON schedule: a list of {"kind", "stage",
+    "parts"} objects, "parts" defaulting to 1."""
+    if not isinstance(schedule, list):
+        raise ValueError(f"schedule {schedule!r} is not a list")
+    for item in schedule:
+        if not isinstance(item, dict):
+            raise ValueError(f"schedule item {item!r} is not an object")
+        for key in ("kind", "stage"):
+            if key not in item:
+                raise ValueError(f"schedule item {item!r} has no {key!r}")
+        if int(item["stage"]) < 1 or int(item.get("parts", 1)) < 1:
+            raise ValueError(f"schedule item {item!r} needs a stage and parts of at least 1")
+    return [FragmentSpec(item["kind"], int(item["stage"]), int(item.get("parts", 1))) for item in schedule]
+
+
 # draws of a sparse extension, or of an incompressible block, per step
 FREQ_RETRIES = 16
 # an incompressible block must reach this LZ78 compression ratio
 INCOMPRESSIBILITY_THRESHOLD = F(9, 10)
-
-
-class AlphaBuilder:
-    """Emits the alternating sparse / incompressible trace.
-
-    The trace is a genuine trajectory-name prefix: parts are whole column
-    names of the stage fold bases, nested counters keep the emission aligned
-    with the product structure, and uniform-tower blocks are placed only at
-    part boundaries of their stage.
-    """
-
-    def __init__(self, construction: Construction, seed: int = 0):
-        self.c = construction
-        self.rng = random.Random(seed)
-        self.bits: list[str] = []
-        self.length = 0
-        self.counters: dict[int, int] = {}
-        self.fragments: list[Fragment] = []
-
-    # counter machinery: counters[t] = parts of the stage-t fold base emitted
-    # toward the current stage-t column
-    def _bump(self, t: int) -> None:
-        while True:
-            self.counters[t] = self.counters.get(t, 0) + 1
-            if self.counters[t] < self.c.stage(t).r_used:
-                return
-            self.counters[t] = 0
-            t += 1
-
-    def _emit(self, name: str) -> None:
-        self.bits.append(name)
-        self.length += len(name)
-
-    def _fill_to_boundary(self, target_stage: int) -> None:
-        """Emit sparse filler parts until all counters below target are 0."""
-        for t in range(1, target_stage):
-            pending = self.counters.get(t, 0)
-            if pending == 0:
-                continue
-            need = self.c.stage(t).r_used - pending
-            base = self.c.stage(t).fold_base
-            for _ in range(need):
-                self._emit(sample_sparse_column(base))
-                self._bump(t)
-
-    def _sample_extension(self, stage: int, parts: int) -> list[str]:
-        base = self.c.stage(stage).fold_base
-        max_ones = 2 * self.c.params.r
-        for _ in range(FREQ_RETRIES):
-            names = [base.sample_column(self.rng) for _ in range(parts)]
-            total = sum(len(n) for n in names)
-            ones = sum(n.count("1") for n in names)
-            if F(ones, total) <= max_ones:
-                return names
-        return [sample_sparse_column(base) for _ in range(parts)]
-
-    def initial_fragment(self, length: int) -> None:
-        """Alpha(0): a main-gadget trajectory name (all zeros at stage 0)."""
-        assert not self.fragments
-        h = 2 * self.c.params.h0
-        if not 1 <= length <= h:
-            raise ValueError("initial fragment must fit one stage-0 column")
-        self._emit("0" * length)
-        self._bump(1)
-        frag = Fragment(0, "sparse", 0, 0, self.length, parts=1, ones_frequency=0.0)
-        self.fragments.append(frag)
-
-    def sparse_step(self, stage: int, parts: int) -> None:
-        """Odd step: extend with a low-ones-frequency trajectory.
-
-        The extension is sampled from the routing distribution and screened
-        by ones frequency.
-        """
-        k = len(self.fragments)
-        start, first = self.length, len(self.bits)
-        self._fill_to_boundary(stage)
-        for name in self._sample_extension(stage, parts):
-            self._emit(name)
-            self._bump(stage)
-        ext = "".join(self.bits[first:])
-        frag = Fragment(
-            k,
-            "sparse",
-            stage,
-            start,
-            self.length,
-            parts=parts,
-            ones_frequency=ext.count("1") / len(ext) if ext else 0.0,
-        )
-        self.fragments.append(frag)
-
-    def incompressible_step(self, stage: int) -> None:
-        """Even step: route through the uniform tower of this stage with a
-        seeded random block.
-
-        The recorded segment is the whole block; its lower half is the part
-        whose start positions carry the length guarantee, and the block is
-        operationally certified by its own compression ratio (resampled on
-        failure, bounded retries).
-        """
-        k = len(self.fragments)
-        start = self.length
-        self._fill_to_boundary(stage)
-        block_len = self.c.stage(stage).delta_second.uniform_height
-        block = None
-        for _ in range(FREQ_RETRIES):
-            cand = format(self.rng.getrandbits(block_len), f"0{block_len}b")
-            if compression_ratio(LZ78Coder(), cand) >= INCOMPRESSIBILITY_THRESHOLD:
-                block = cand
-                break
-        if block is None:
-            raise StageFailure("could not draw an incompressible block")
-        seg_start = self.length
-        self._emit(block)
-        self._bump(stage)
-        frag = Fragment(
-            k,
-            "incompressible",
-            stage,
-            start,
-            self.length,
-            segment=(seg_start, seg_start + block_len),
-            parts=1,
-            ones_frequency=block.count("1") / block_len,
-        )
-        self.fragments.append(frag)
-
-    def build(self, schedule: list[FragmentSpec], initial_length: int) -> AlphaTrace:
-        self.initial_fragment(initial_length)
-        for spec in schedule:
-            if spec.kind == "sparse":
-                self.sparse_step(spec.stage, spec.parts)
-            elif spec.kind == "incompressible":
-                self.incompressible_step(spec.stage)
-            else:
-                raise ValueError(f"unknown fragment kind {spec.kind}")
-        heights = {
-            "delta": {s: self.c.stages[s].delta.uniform_height for s in range(len(self.c.stages))},
-            "pi_min": {s: self.c.stages[s].pi.min_height for s in range(len(self.c.stages))},
-        }
-        return AlphaTrace("".join(self.bits), self.fragments, heights)
 
 
 def stage_height(construction: Construction, s: int) -> int:
@@ -528,13 +402,85 @@ def stage_height(construction: Construction, s: int) -> int:
 
 def build_alpha(construction: Construction, schedule: list[FragmentSpec],
                 initial_length: int, seed: int = 0) -> AlphaTrace:
-    """Build the trace and enforce the length induction l(alpha(k)) >= h_s(k)."""
-    builder = AlphaBuilder(construction, seed=seed)
-    trace = builder.build(schedule, initial_length)
-    for frag in trace.fragments:
-        need = stage_height(construction, frag.stage)
-        if frag.end < need:
-            raise StageFailure(
-                f"fragment {frag.index} ends at {frag.end} < stage height {need}"
-            )
-    return trace
+    """Emit the alternating sparse / incompressible trace and enforce the
+    length induction l(alpha(k)) >= h_s(k) on every fragment.
+
+    The trace is a genuine trajectory-name prefix: parts are whole column
+    names of the stage fold bases, nested counters keep the emission aligned
+    with the product structure, and uniform-tower blocks are placed only at
+    part boundaries of their stage.
+    """
+    rng = random.Random(seed)
+    bits: list[str] = []
+    length = 0
+    # counters[t]: parts of the stage-t fold base emitted toward its current column
+    counters: dict[int, int] = {}
+    fragments: list[Fragment] = []
+
+    def emit(name: str, t: int) -> None:
+        """Append one stage-t part and carry the counters upward."""
+        nonlocal length
+        bits.append(name)
+        length += len(name)
+        while True:
+            counters[t] = counters.get(t, 0) + 1
+            if counters[t] < construction.stage(t).r_used:
+                return
+            counters[t] = 0
+            t += 1
+
+    def close(kind: str, stage: int, start: int, **fields) -> None:
+        """Record the fragment that ends here, once it reaches h_stage."""
+        need = stage_height(construction, stage)
+        if length < need:
+            raise StageFailure(f"fragment {len(fragments)} ends at {length} < stage height {need}")
+        fragments.append(Fragment(len(fragments), kind, stage, start, length, **fields))
+
+    # alpha(0): a main-gadget trajectory name (all zeros at stage 0)
+    if not 1 <= initial_length <= 2 * construction.params.h0:
+        raise ValueError("initial fragment must fit one stage-0 column")
+    emit("0" * initial_length, 1)
+    close("sparse", 0, 0, parts=1, ones_frequency=0.0)
+    for spec in schedule:
+        if spec.kind not in ("sparse", "incompressible"):
+            raise ValueError(f"unknown fragment kind {spec.kind}")
+        start, first = length, len(bits)
+        # sparse filler parts until every counter below the stage is 0
+        for t in range(1, spec.stage):
+            if counters.get(t, 0):
+                base = construction.stage(t).fold_base
+                for _ in range(construction.stage(t).r_used - counters[t]):
+                    emit(sample_sparse_column(base), t)
+        if spec.kind == "sparse":
+            # odd step: parts drawn from the routing distribution, screened
+            # by ones frequency, else the all-main-branch column
+            base = construction.stage(spec.stage).fold_base
+            for _ in range(FREQ_RETRIES):
+                names = [base.sample_column(rng) for _ in range(spec.parts)]
+                if F(sum(n.count("1") for n in names), sum(map(len, names))) <= 2 * construction.params.r:
+                    break
+            else:
+                names = [sample_sparse_column(base)] * spec.parts
+            for name in names:
+                emit(name, spec.stage)
+            ext = "".join(bits[first:])
+            close("sparse", spec.stage, start, parts=spec.parts,
+                  ones_frequency=ext.count("1") / len(ext) if ext else 0.0)
+        else:
+            # even step: one seeded block of the stage's uniform tower,
+            # certified by its own LZ78 compression ratio
+            block_len = construction.stage(spec.stage).delta_second.uniform_height
+            for _ in range(FREQ_RETRIES):
+                block = format(rng.getrandbits(block_len), f"0{block_len}b")
+                if compression_ratio(LZ78Coder(), block) >= INCOMPRESSIBILITY_THRESHOLD:
+                    break
+            else:
+                raise StageFailure("could not draw an incompressible block")
+            emit(block, spec.stage)
+            close("incompressible", spec.stage, start, segment=(length - block_len, length), parts=1,
+                  ones_frequency=block.count("1") / block_len)
+    heights = {
+        "delta": {s: st.delta.uniform_height for s, st in enumerate(construction.stages)},
+        "pi_min": {s: st.pi.min_height for s, st in enumerate(construction.stages)},
+    }
+    return AlphaTrace("".join(bits), fragments, heights)

@@ -22,7 +22,7 @@ import os
 from fractions import Fraction
 
 from ._util import log2_fraction, parse_rational, stream_seed, write_atomic, write_json_atomic
-from .construction import Construction, ConstructionParams, FragmentSpec, build_alpha
+from .construction import Construction, ConstructionParams, build_alpha, fragment_specs
 from .deficiency import monotone_length, probability_estimate
 from .ktmix import MixtureCoder
 from .lz import BlockCoder, LZ78Coder, LZWindowCoder, checkpoints, ratio_points
@@ -168,14 +168,6 @@ def parallel_map(fn, jobs: list) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _spec_list(schedule) -> list[FragmentSpec]:
-    """Fragment specs from a JSON schedule of {"kind", "stage", "parts"} items."""
-    return [
-        FragmentSpec(item["kind"], int(item["stage"]), int(item.get("parts", 1)))
-        for item in schedule
-    ]
-
-
 def _alpha_trace(cfg: dict, stream: str):
     """The configured construction and the trace built from it, seeded by
     the named stream of the master seed."""
@@ -187,7 +179,7 @@ def _alpha_trace(cfg: dict, stream: str):
     construction = Construction(params)
     trace = build_alpha(
         construction,
-        _spec_list(cfg["schedule"]),
+        fragment_specs(cfg["schedule"]),
         initial_length=int(cfg["initial_length"]),
         seed=stream_seed(int(cfg["seed"]), stream),
     )

@@ -19,12 +19,11 @@ from fractions import Fraction
 
 from explicit import _column_maps
 from lzlab._util import log2_fraction
-from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput, self_delimited_len
 from lzlab.construction import Construction, ConstructionParams, FragmentSpec, build_alpha
 from lzlab.experiments import OSCILLATION_DEFAULTS
 from lzlab.intervals import Column, Gadget, Interval
-from lzlab.ktmix import DEFAULT_KMAX, WEIGHT_BITS, mixture_weights
+from lzlab.ktmix import DEFAULT_KMAX, PROB_BITS, WEIGHT_BITS, mixture_weights
 from lzlab.lz import LZWindowCoder
 from lzlab.symbolic import BaseNode, CutNode, MFoldNode, StackNode, UnionNode
 

@@ -347,6 +347,49 @@ def test_rejected_input_is_a_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().out == "" and not os.path.exists(out)
 
 
+def test_malformed_specs_are_one_line_errors(tmp_path, capsys):
+    # zero denominators, schedule items without their keys and spec files
+    # of the wrong shape end in one line that names the text, key or file
+    out = str(tmp_path / "o.bits")
+    obj, rowless, listed = (tmp_path / name for name in ("obj.json", "rowless.json", "listed.json"))
+    obj.write_text('{"1": 1}')
+    rowless.write_text('{"order": 0}')
+    listed.write_text("[0, 1]")
+    alpha = ["theorem1", "alpha", "--h0", "16", "--folds", "4,4,4", "--initial", "24", "--out", out]
+    cases = [
+        (["theorem1", "build", "--r", "1/0", "--stages", "1"], "zero denominator in '1/0'"),
+        (["source", "entropy", "--source", "bernoulli:1/0"], "zero denominator in '1/0'"),
+        ([*alpha, "--schedule", '[{"stage": 1}]'], "schedule item {'stage': 1} has no 'kind'"),
+        ([*alpha, "--schedule", '[{"kind": "sparse"}]'], "schedule item {'kind': 'sparse'} has no 'stage'"),
+        ([*alpha, "--schedule", "[3]"], "schedule item 3 is not an object"),
+        ([*alpha, "--schedule", '{"kind": "sparse"}'], "schedule {'kind': 'sparse'} is not a list"),
+        ([*alpha, "--schedule", '[{"kind": "sparse", "stage": 0}]'],
+         "schedule item {'kind': 'sparse', 'stage': 0} needs a stage and parts of at least 1"),
+        (["theorem1", "heights", "--sigma", str(obj), "--stages", "2"],
+         f"{obj}: a sigma table is a JSON list of integers"),
+    ]
+    cases += [
+        (["source", "entropy", "--source", f"markov:{path}"],
+         f"{path}: a Markov spec is a JSON object with 'order' and a 'rows' object")
+        for path in (rowless, listed)
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message, argv
+    config = tmp_path / "cfg.json"
+    for cfg, message in (
+        ({"experiment": "robustness", "flip_p": "1/0"}, "zero denominator in '1/0'"),
+        ({"experiment": "oscillation", "schedule": [{"stage": 3}]}, "schedule item {'stage': 3} has no 'kind'"),
+    ):
+        config.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "run", str(config), "--outdir", str(tmp_path / "res")])
+        assert exc.value.code == message, cfg
+    assert capsys.readouterr().out == "" and not os.path.exists(out)
+    assert not (tmp_path / "res").exists()
+
+
 def test_deficiency_cli(tmp_path, capsys):
     src = tmp_path / "w.bits"
     out = tmp_path / "d.csv"

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from lzlab._util import binary_entropy
-from lzlab.arith import PROB_BITS
 from lzlab.bitio import MalformedInput, encode_int, self_delimit
 from lzlab.ktmix import (
+    PROB_BITS,
     MixtureCoder,
     QuantizedMixturePredictor,
     mixture_weights,
