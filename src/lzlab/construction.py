@@ -464,8 +464,7 @@ def build_alpha(construction: Construction, schedule: list[FragmentSpec],
             for name in names:
                 emit(name, spec.stage)
             ext = "".join(bits[first:])
-            close("sparse", spec.stage, start, parts=spec.parts,
-                  ones_frequency=ext.count("1") / len(ext) if ext else 0.0)
+            close("sparse", spec.stage, start, parts=spec.parts, ones_frequency=ext.count("1") / len(ext))
         else:
             # even step: one seeded block of the stage's uniform tower,
             # certified by its own LZ78 compression ratio
