@@ -329,7 +329,8 @@ def sample_sparse_column(node: SymbolicGadget) -> str:
         # the stages build every union with the main gadget first
         return sample_sparse_column(node.children[0])
     if isinstance(node, BaseNode):
-        return min(node.gadget.columns, key=lambda c: c.name.count("1")).name
+        best = min(node.gadget.columns, key=lambda c: c.name.count("1"))
+        return best.name
     raise ValueError(f"cannot walk node kind {node.kind}")
 
 
@@ -448,9 +449,9 @@ def build_alpha(construction: Construction, schedule: list[FragmentSpec],
         # sparse filler parts until every counter below the stage is 0
         for t in range(1, spec.stage):
             if counters.get(t, 0):
-                base = construction.stage(t).fold_base
+                filler = sample_sparse_column(construction.stage(t).fold_base)
                 for _ in range(construction.stage(t).r_used - counters[t]):
-                    emit(sample_sparse_column(base), t)
+                    emit(filler, t)
         if spec.kind == "sparse":
             # odd step: parts drawn from the routing distribution, screened
             # by ones frequency, else the all-main-branch column
@@ -463,11 +464,11 @@ def build_alpha(construction: Construction, schedule: list[FragmentSpec],
                 names = [sample_sparse_column(base)] * spec.parts
             for name in names:
                 emit(name, spec.stage)
-            ext = "".join(bits[first:])
-            close("sparse", spec.stage, start, parts=spec.parts, ones_frequency=ext.count("1") / len(ext))
+            ones = sum(name.count("1") for name in bits[first:])
+            close("sparse", spec.stage, start, parts=spec.parts, ones_frequency=ones / (length - start))
         else:
-            # even step: one seeded block of the stage's uniform tower,
-            # certified by its own LZ78 compression ratio
+            # even step: one seeded uniform-tower block, certified by its LZ78
+            # ratio; its lower half holds the starts that carry the length guarantee
             block_len = construction.stage(spec.stage).delta_second.uniform_height
             for _ in range(FREQ_RETRIES):
                 block = format(rng.getrandbits(block_len), f"0{block_len}b")
