@@ -10,7 +10,10 @@ Three headline experiments plus the deficiency demo:
 All randomness flows from one master seed through named streams; outputs are
 CSV files plus a JSON summary that echoes the full configuration.  Each
 runner spreads its independent jobs (coders, sources, checkpoint words) over
-forked workers, one per CPU the process may use, with identical outputs.
+forked children, one per CPU the process may use, with identical outputs: the
+children take the jobs in the caller's order from one queue, and the calling
+process only collects their results.  Job arguments reach the children through
+the fork, so only results and exceptions are pickled (see ``parallel_map``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import csv
 import io
 import math
 import os
+import sys
 from fractions import Fraction
 
 from ._util import log2_fraction, parse_rational, stream_seed, write_atomic, write_json_atomic
@@ -145,14 +149,29 @@ def _finish(summary: dict, experiment: str, csvs: dict[str, str], outdir: str | 
     return summary
 
 
-def parallel_map(fn, jobs: list) -> list:
-    """``[fn(*job) for job in jobs]``, with the jobs handed out in order to
-    forked worker processes, one per CPU this process may run on and at most
-    one per job.  ``fn`` must be a module-level function, and the jobs (tuples
-    of arguments) and results must pickle.  A job's exception is raised here;
-    the pool is closed, and its workers joined, before this returns or raises.
+# POSIX makes a pipe write of at most this many bytes atomic
+_PIPE_BUF = 512
 
-    Forked workers start without importing lzlab again, which is what makes
+
+def _close(held: list, fd: int) -> None:
+    held.remove(fd)
+    os.close(fd)
+
+
+def parallel_map(fn, jobs: list) -> list:
+    """``[fn(*job) for job in jobs]``, with the jobs spread over forked
+    children, one per CPU this process may run on and at most one per job.
+    The children take job indices in the caller's order from one shared
+    queue and run each job on the arguments they inherited through the fork,
+    so only results and exceptions must pickle; this process only collects.
+    If jobs fail, the exception of the lowest failing index is raised here,
+    as in the serial path.  A child that dies before it replies raises a
+    RuntimeError that names its exit status, ahead of any job's exception,
+    since which of its jobs ran is unknown.  Every child is reaped before
+    this returns or raises; on an error or interrupt here, the children left
+    are killed first.
+
+    Forked children start without importing lzlab again, which is what makes
     sub-second jobs worth sending.  Forking a process that runs other
     threads can deadlock the child, so such a process runs the jobs itself."""
     import threading
@@ -161,11 +180,110 @@ def parallel_map(fn, jobs: list) -> list:
     workers = min(len(jobs), cpus)
     if workers <= 1 or threading.active_count() > 1:
         return [fn(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+    # what is still buffered would otherwise be written by every child too
+    sys.stdout.flush()
+    sys.stderr.flush()
+    tasks_r, tasks_w = os.pipe()
+    held = [tasks_r, tasks_w]  # the pipe ends open in this process
+    pids, pipes, replies = [], [], []
+    try:
+        for _ in range(workers):
+            reply_r, reply_w = os.pipe()
+            held += [reply_r, reply_w]
+            # an interrupt waits until the child is inside its try and its
+            # pid is in pids: neither process may run the other's code
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child: it leaves only through os._exit
+                    status = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        for fd in held:
+                            if fd not in (tasks_r, reply_w):
+                                os.close(fd)
+                        _work(fn, jobs, tasks_r, reply_w)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            pipes.append(reply_r)
+            _close(held, reply_w)
+        _close(held, tasks_r)
+        # written only now that the children read: past the pipe's buffer,
+        # a write waits for a reader
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
+        try:
+            for k in range(0, len(indices), _PIPE_BUF):
+                os.write(tasks_w, indices[k:k + _PIPE_BUF])
+        except BrokenPipeError:  # every child has died; their exit statuses say how
+            pass
+        _close(held, tasks_w)
+        for reply_r in pipes:
+            with open(reply_r, "rb", closefd=False) as pipe:
+                replies.append(pipe.read())
+            _close(held, reply_r)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for fd in held:
+            os.close(fd)
+    for code in codes:
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"a parallel_map child {how} before it replied")
+    results, failures = [None] * len(jobs), []
+    for reply in replies:
+        done, failed = pickle.loads(reply)
+        for i, result in done:
+            results[i] = pickle.loads(result)
+        if failed:
+            failures.append(failed)
+    if failures:
+        _, exc, trace = min(failures, key=lambda failed: failed[0])
+        raise exc from RuntimeError(f"the failed job's traceback in its child:\n{trace}")
+    return results
+
+
+def _work(fn, jobs: list, tasks: int, reply: int) -> None:
+    """A forked child's part of parallel_map: run the jobs whose indices it
+    takes from the ``tasks`` pipe until that pipe is empty and closed, then
+    write one pickled reply to the ``reply`` pipe: the (index, pickled
+    result) pairs, and the (index, exception, traceback text) of the first
+    job that failed.  A failure empties the queue, so the other children
+    stop after their current job: no later index can change what is raised."""
+    import pickle
+
+    done, failed = [], None
+    # every write to the queue is atomic and a whole number of indices long,
+    # so every 4-byte read takes one whole index
+    while failed is None and (index := os.read(tasks, 4)):
+        i = int.from_bytes(index, "little")
+        try:
+            done.append((i, pickle.dumps(fn(*jobs[i]))))
+        except BaseException as exc:  # an interrupt too: the caller raises it
+            import traceback
+
+            failed = (i, exc, traceback.format_exc())
+            while os.read(tasks, _PIPE_BUF):
+                pass
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        data = pickle.dumps((done, failed))
+    except Exception as exc:  # the job's exception does not pickle
+        i, error, trace = failed
+        data = pickle.dumps((done, (i, RuntimeError(f"{error!r} does not pickle: {exc}"), trace)))
+    with open(reply, "wb") as pipe:
+        pipe.write(data)
 
 
 def _alpha_trace(cfg: dict, stream: str):

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import random
+import signal
+import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -603,6 +605,12 @@ def _worker_pid(_job) -> int:
     return os.getpid()
 
 
+def _assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _run_on_cpus(monkeypatch, cpus, fn, *args):
     """fn(*args) with the CPUs this process may use reported as ``cpus``."""
     with monkeypatch.context() as m:
@@ -627,7 +635,7 @@ def test_parallel_map_runs_jobs_in_order_in_workers(monkeypatch):
         release.set()
         waiter.join(30)
     assert pids == [os.getpid()] * 2 and not waiter.is_alive()
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_RUNNER_CONFIGS))
@@ -637,7 +645,7 @@ def test_runners_identical_on_one_and_two_cpus(monkeypatch, tmp_path, name):
         outdir = tmp_path / str(len(cpus))
         cfg = dict(SMALL_RUNNER_CONFIGS[name], seed=11)
         summary = _run_on_cpus(monkeypatch, cpus, RUNNERS[name], cfg, str(outdir))
-        assert multiprocessing.active_children() == [], cpus
+        _assert_no_child_left()
         files = {f: (outdir / f).read_bytes() for f in sorted(os.listdir(outdir))}
         outputs.append((json.dumps(summary, sort_keys=True), files))
     assert outputs[0] == outputs[1]
@@ -670,9 +678,87 @@ def test_failed_job_raises_as_in_the_serial_path(monkeypatch):
     for cpus in ({0}, {0, 1}):
         with pytest.raises(ValueError):
             _run_on_cpus(monkeypatch, cpus, parallel_map, int, [("1",), ("x",), ("3",)])
-        assert multiprocessing.active_children() == [], cpus
+        _assert_no_child_left()
         # a block length of 0 fails inside robustness's per-source job
         with pytest.raises(ValueError):
             _run_on_cpus(monkeypatch, cpus, run_robustness,
                          {"n": 1024, "stride": 512, "block_lengths": [0]})
-        assert multiprocessing.active_children() == [], cpus
+        _assert_no_child_left()
+
+
+def _exit_with(status: int) -> int:
+    if status:
+        os._exit(status)
+    return status
+
+
+def _sleep_then_fail(seconds: float, error: str | None) -> float:
+    time.sleep(seconds)
+    if error:
+        raise ValueError(error)
+    return seconds
+
+
+def _raise_unpicklable() -> None:
+    raise ValueError(threading.Lock())
+
+
+def _interrupt_caller(interrupt: bool) -> None:
+    if interrupt:
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(30)
+
+
+def test_parallel_map_failures_leave_no_child(monkeypatch):
+    def fails(fn, jobs, error, match):
+        with pytest.raises(error, match=match) as info:
+            _run_on_cpus(monkeypatch, {0, 1}, parallel_map, fn, jobs)
+        _assert_no_child_left()
+        return info.value
+
+    fails(_exit_with, [(0,), (3,)], RuntimeError, "^a parallel_map child exited with status 3 before it replied$")
+    # a failing job next to a slow one raises its own exception; the lowest
+    # failing index wins, as in the serial path, even when it fails last
+    fails(_sleep_then_fail, [(0.3, None), (0, "fast")], ValueError, "^fast$")
+    fails(_sleep_then_fail, [(0.3, "slow"), (0, "fast")], ValueError, "^slow$")
+    # a result that does not pickle is its job's one-line error
+    error = fails(threading.Lock, [(), ()], TypeError, "pickle")
+    assert "\n" not in str(error)
+    # so is an exception that does not pickle
+    error = fails(_raise_unpicklable, [(), ()], RuntimeError, "^ValueError.* does not pickle: ")
+    assert "\n" not in str(error)
+    # an interrupt of the calling process kills and reaps every child, so
+    # neither sleeps out its 30 s
+    start = time.monotonic()
+    fails(_interrupt_caller, [(True,), (False,)], KeyboardInterrupt, None)
+    assert time.monotonic() - start < 10
+
+
+def test_parallel_map_queues_more_indices_than_a_pipe_holds(monkeypatch):
+    # 20,000 four-byte indices are more than a 64 KiB pipe buffer, so writing
+    # them before a child reads would block for good: an alarm ends the wait
+    def expire(signum, frame):
+        raise TimeoutError("parallel_map blocked for 60 s")
+
+    jobs = [(-i,) for i in range(20_000)]
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        assert _run_on_cpus(monkeypatch, {0, 1}, parallel_map, abs, jobs) == list(range(20_000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+
+
+def test_forking_runners_import_no_process_pool():
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from lzlab.experiments import parallel_map, run_universality\n"
+            "assert os.getpid() not in parallel_map(os.getpid, [(), ()])\n"
+            f"run_universality({SMALL_RUNNER_CONFIGS['universality']!r})\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n"
